@@ -1,6 +1,7 @@
 #include "experiments.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <ostream>
 #include <set>
 #include <utility>
@@ -157,6 +158,40 @@ bool experiment_selected(const SuiteOptions& options, std::string_view experimen
 }
 
 namespace {
+
+/// Repetitions behind every full-mode `wall_ms` gauge.
+constexpr std::size_t kWallReps = 5;
+
+/// Median wall-clock milliseconds over `reps` calls of `fn`: the suite's
+/// one clock read. Only full-mode records carry what it measures (the
+/// `wall_ms` and `verified_tput_mops` gauges), so smoke artifacts and
+/// their goldens stay byte-identical.
+template <typename Fn>
+double median_wall_ms(std::size_t reps, Fn&& fn) {
+  // mocc-lint: allow(determinism): feeds full-mode wall-time gauges only; smoke records never carry it
+  const auto now = [] { return std::chrono::steady_clock::now(); };
+  std::vector<double> samples;
+  for (std::size_t i = 0; i < reps; ++i) {
+    const auto start = now();
+    fn();
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(now() - start).count());
+  }
+  const auto median = samples.begin() + static_cast<std::ptrdiff_t>(reps / 2);
+  std::nth_element(samples.begin(), median, samples.end());
+  return *median;
+}
+
+/// Runs `fn` once in smoke mode; in full mode runs it kWallReps times
+/// and records the median as gauge `wall_ms`.
+template <typename Fn>
+void run_timed(const SuiteOptions& options, obs::Registry& metrics, Fn&& fn) {
+  if (options.smoke) {
+    fn();
+  } else {
+    metrics.gauge("wall_ms").set(median_wall_ms(kWallReps, fn));
+  }
+}
 
 std::string pct(double ratio) {
   return std::to_string(static_cast<int>(ratio * 100.0 + 0.5));
@@ -451,15 +486,14 @@ std::vector<ExperimentRecord> run_e4(const SuiteOptions& options) {
     return records;
   }
   for (const auto& variant : variants) {
-    for (const std::size_t mops : {6, 10, 14}) {
+    for (const std::size_t mops : {6, 10, 14, 18}) {
       records.push_back(exact_checker_record(variant, mops, instances));
     }
   }
-  for (const std::size_t txns : {4, 8, 12}) {
-    records.push_back(reduction_record(/*prune=*/true, txns, instances));
-  }
-  for (const std::size_t txns : {4, 8}) {
-    records.push_back(reduction_record(/*prune=*/false, txns, instances));
+  for (const bool prune : {true, false}) {
+    for (const std::size_t txns : {4, 8, 12}) {
+      records.push_back(reduction_record(prune, txns, instances));
+    }
   }
   return records;
 }
@@ -511,9 +545,12 @@ std::vector<ExperimentRecord> run_e5(const SuiteOptions& options) {
     record.experiment = "E5";
     record.name = "E5/theorem7_poly/m" + std::to_string(target);
     record.config = e5_config_map(target);
-    const auto result = core::fast_check_condition(
-        recorded.history, core::Condition::kMLinearizability, recorded.ww,
-        core::Constraint::kWW);
+    core::FastCheckResult result;
+    run_timed(options, record.metrics, [&] {
+      result = core::fast_check_condition(recorded.history,
+                                          core::Condition::kMLinearizability,
+                                          recorded.ww, core::Constraint::kWW);
+    });
     record.metrics.counter("mops").set(recorded.history.size());
     record.metrics.gauge("constraint_holds").set(result.constraint_holds ? 1.0 : 0.0);
     record.metrics.gauge("legal").set(result.legal ? 1.0 : 0.0);
@@ -539,11 +576,14 @@ std::vector<ExperimentRecord> run_e5(const SuiteOptions& options) {
       checker.use_rw_pruning = prune;
       checker.use_memoization = prune;
       checker.max_states = 100'000'000;
-      // The exact checker gets the same information (base order + ~ww).
-      auto base =
-          core::base_order(recorded.history, core::Condition::kMLinearizability);
-      base.merge(recorded.ww);
-      const auto result = core::check_admissible(recorded.history, base, checker);
+      core::AdmissibilityResult result;
+      run_timed(options, record.metrics, [&] {
+        // The exact checker gets the same information (base order + ~ww).
+        auto base =
+            core::base_order(recorded.history, core::Condition::kMLinearizability);
+        base.merge(recorded.ww);
+        result = core::check_admissible(recorded.history, base, checker);
+      });
       record.metrics.counter("mops").set(recorded.history.size());
       record.metrics.counter("states").set(result.states_visited);
       record.metrics.gauge("admissible").set(result.admissible ? 1.0 : 0.0);
@@ -863,7 +903,10 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
       const exec::ExecResult result = exec::run(config);
       exec::VerifyOptions verify;
       verify.run_audit = leg.audit;
-      const exec::VerifyReport verdict = exec::verify_execution(result, verify);
+      exec::VerifyReport verdict;
+      // One timed verification: at 100k m-ops it dwarfs the run.
+      const double verify_ms = median_wall_ms(
+          1, [&] { verdict = exec::verify_execution(result, verify); });
 
       ExperimentRecord record;
       record.experiment = "E10";
@@ -880,6 +923,14 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
       record.config["p5_audit"] = leg.audit ? "on" : "off";
       register_exec_metrics(record.metrics, result,
                             /*include_wallclock=*/!options.smoke);
+      if (!options.smoke) {
+        // Run plus check: the rate at which the engine yields m-ops
+        // that are known admissible (M m-ops/s, as exec_tput_mops).
+        const double total_us =
+            result.stats.elapsed_seconds * 1e6 + verify_ms * 1e3;
+        record.metrics.gauge("verified_tput_mops")
+            .set(static_cast<double>(result.stats.committed) / total_us);
+      }
       record.metrics.counter("exec_verify_windows").set(verdict.windows);
       record.audit = verdict.ok ? ExperimentRecord::Audit::kOk
                                 : ExperimentRecord::Audit::kFailed;
@@ -889,6 +940,46 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
   return records;
 }
 
+namespace {
+
+/// One E11 run in audit mode `mode`, the mode's own audit included: the
+/// stream's finish(), or the post-hoc audit of the captured trace.
+/// `run_audit` adds the recorder's batch audit the record reports; the
+/// mode's own series land in `metrics`.
+RunResult run_e11_mode(const std::string& mode, const api::SystemConfig& config,
+                       const protocols::WorkloadParams& params, bool run_audit,
+                       obs::Registry& metrics) {
+  if (mode == "stream") {
+    obs::StreamingAuditorOptions live;
+    live.condition = core::Condition::kMLinearizability;
+    live.window = 16;  // several cuts even at smoke scale
+    obs::StreamingAuditor auditor(live);
+    const RunResult result = run_experiment(config, params, run_audit, &auditor);
+    auditor.finish();
+    MOCC_ASSERT_MSG(!auditor.violated(),
+                    "E11 streams a correct protocol; a violation here "
+                    "is an auditor bug");
+    register_streaming_metrics(metrics, auditor);
+    return result;
+  }
+  if (mode == "posthoc") {
+    obs::RingBufferSink sink(kSpanRingCapacity);
+    const RunResult result = run_experiment(config, params, run_audit, &sink);
+    obs::TraceFile trace;
+    trace.has_header = true;
+    trace.events = sink.events();
+    trace.spans = sink.spans();
+    const obs::TraceAudit audit =
+        obs::audit_from_trace(trace, core::Condition::kMLinearizability);
+    metrics.gauge("posthoc_audit_ok").set(audit.ok ? 1.0 : 0.0);
+    metrics.counter("posthoc_audit_mops").set(audit.mops);
+    return result;
+  }
+  return run_experiment(config, params, run_audit);
+}
+
+}  // namespace
+
 std::vector<ExperimentRecord> run_e11(const SuiteOptions& options) {
   // Streaming-audit overhead on E1-shaped (clean) and E8-shaped (faulty,
   // reliable-link) runs. Three audit modes per shape: `off` is the
@@ -897,7 +988,8 @@ std::vector<ExperimentRecord> run_e11(const SuiteOptions& options) {
   // trace in a ring and audits it after the run. Virtual-time metrics
   // are identical across modes by construction — the sink is
   // observation, never scheduling — so the records document that
-  // invariant; the wall-clock cost lives in bench_e11_streaming.
+  // invariant. Full mode adds each mode's wall time (`wall_ms`, timed
+  // without the recorder's batch audit, which all modes share).
   struct Shape {
     const char* name;
     bool faults;
@@ -924,59 +1016,26 @@ std::vector<ExperimentRecord> run_e11(const SuiteOptions& options) {
     params.update_ratio = 0.5;
     params.footprint = 2;
 
-    for (const char* mode : modes) {
+    for (const std::string mode : modes) {
       ExperimentRecord record;
       record.experiment = "E11";
       record.name = std::string("E11/streaming/") + shape.name + "/" + mode;
       record.config = sim_config_map(config, params);
       record.config["faults"] = shape.faults ? "on" : "off";
       record.config["audit_mode"] = mode;
-
-      if (mode == std::string("stream")) {
-        obs::StreamingAuditorOptions live;
-        live.condition = core::Condition::kMLinearizability;
-        live.window = 16;  // several cuts even at smoke scale
-        obs::StreamingAuditor auditor(live);
-        const RunResult result =
-            run_experiment(config, params, /*run_audit=*/true, &auditor);
-        auditor.finish();
-        MOCC_ASSERT_MSG(!auditor.violated(),
-                        "E11 streams a correct protocol; a violation here "
-                        "is an auditor bug");
-        register_run_metrics(record.metrics, result);
-        register_streaming_metrics(record.metrics, auditor);
-        record.traffic = result.traffic;
-        if (result.audit_ran) {
-          record.audit = result.audit_ok ? ExperimentRecord::Audit::kOk
-                                         : ExperimentRecord::Audit::kFailed;
-        }
-      } else if (mode == std::string("posthoc")) {
-        obs::RingBufferSink sink(kSpanRingCapacity);
-        const RunResult result =
-            run_experiment(config, params, /*run_audit=*/true, &sink);
-        obs::TraceFile trace;
-        trace.has_header = true;
-        trace.events = sink.events();
-        trace.spans = sink.spans();
-        const obs::TraceAudit audit = obs::audit_from_trace(
-            trace, core::Condition::kMLinearizability);
-        register_run_metrics(record.metrics, result);
-        record.metrics.gauge("posthoc_audit_ok").set(audit.ok ? 1.0 : 0.0);
-        record.metrics.counter("posthoc_audit_mops").set(audit.mops);
-        record.traffic = result.traffic;
-        if (result.audit_ran) {
-          record.audit = result.audit_ok ? ExperimentRecord::Audit::kOk
-                                         : ExperimentRecord::Audit::kFailed;
-        }
-      } else {
-        const RunResult result =
-            run_experiment(config, params, /*run_audit=*/true);
-        register_run_metrics(record.metrics, result);
-        record.traffic = result.traffic;
-        if (result.audit_ran) {
-          record.audit = result.audit_ok ? ExperimentRecord::Audit::kOk
-                                         : ExperimentRecord::Audit::kFailed;
-        }
+      const RunResult result = run_e11_mode(mode, config, params,
+                                            /*run_audit=*/true, record.metrics);
+      register_run_metrics(record.metrics, result);
+      record.traffic = result.traffic;
+      if (result.audit_ran) {
+        record.audit = result.audit_ok ? ExperimentRecord::Audit::kOk
+                                       : ExperimentRecord::Audit::kFailed;
+      }
+      if (!options.smoke) {
+        record.metrics.gauge("wall_ms").set(median_wall_ms(kWallReps, [&] {
+          obs::Registry scratch;
+          run_e11_mode(mode, config, params, /*run_audit=*/false, scratch);
+        }));
       }
       records.push_back(std::move(record));
     }

@@ -1,19 +1,16 @@
-// Experiment suite E1-E10 as a library: shared run helpers, the metrics
+// Experiment suite E1-E11 as a library: shared run helpers, the metrics
 // each experiment registers (through obs::Registry), and the
-// machine-readable record schema behind BENCH_results.json.
+// machine-readable record schema behind BENCH_results.json. Its one
+// front end is bench/report_main.cpp (`bench_report`), which runs the
+// suite and writes the schema-versioned JSON artifact
+// (tools/run_bench.sh wraps it).
 //
-// Two front ends build on this:
-//   - bench/report_main.cpp (`bench_report`): runs the suite and writes
-//     the schema-versioned JSON artifact (tools/run_bench.sh wraps it);
-//   - the bench_e*.cpp google-benchmark binaries: wall-clock timing of
-//     the same configurations, exporting the same registry metrics as
-//     benchmark counters (see common.hpp).
-//
-// Everything recorded here is a deterministic function of the seeds —
-// virtual-time latencies, message counts, checker states visited — so a
-// fixed-seed rerun serializes byte-identically (golden-tested by
-// tests/bench_report_test.cpp). Wall-clock measurements stay in the
-// google-benchmark binaries, never in the JSON artifact.
+// Smoke records are a deterministic function of the seeds — virtual-time
+// latencies, message counts, checker states visited — so a fixed-seed
+// rerun serializes byte-identically (golden-tested by
+// tests/bench_report_test.cpp). Full-mode records add the wall-time
+// gauges an experiment's claim rests on: E5/E11 `wall_ms` and E10
+// `exec_tput_mops` / `verified_tput_mops`.
 #pragma once
 
 #include <cstddef>
@@ -173,7 +170,7 @@ void register_batching_metrics(obs::Registry& registry,
 struct ExperimentRecord {
   enum class Audit : std::uint8_t { kNotApplicable, kOk, kFailed };
 
-  std::string experiment;                      // "E1" .. "E8"
+  std::string experiment;                      // "E1" .. "E11"
   std::string name;                            // "E1/query_latency/mseq/lan/n2"
   std::map<std::string, std::string> config;   // the exact sweep point
   obs::Registry metrics;
@@ -185,7 +182,7 @@ struct SuiteOptions {
   /// Reduced sweeps (CI-sized: seconds, not minutes). Every experiment
   /// still contributes records; only the grid shrinks.
   bool smoke = false;
-  /// Subset of {"E1",..,"E10"}; empty = all.
+  /// Subset of {"E1",..,"E11"}; empty = all.
   std::vector<std::string> only;
   /// Collect causal spans on the latency experiments (E1, E2, E8) and
   /// register the phase-breakdown series (schema minor 2). Off by
@@ -200,6 +197,9 @@ std::vector<ExperimentRecord> run_e1(const SuiteOptions& options);
 std::vector<ExperimentRecord> run_e2(const SuiteOptions& options);
 std::vector<ExperimentRecord> run_e3(const SuiteOptions& options);
 std::vector<ExperimentRecord> run_e4(const SuiteOptions& options);
+/// E5: Theorem-7 fast check vs the exact checker on protocol-recorded
+/// histories. Full-mode records add gauge `wall_ms`, the median time of
+/// one check (history recording stays outside the timed region).
 std::vector<ExperimentRecord> run_e5(const SuiteOptions& options);
 std::vector<ExperimentRecord> run_e6(const SuiteOptions& options);
 std::vector<ExperimentRecord> run_e7(const SuiteOptions& options);
@@ -220,22 +220,24 @@ std::vector<ExperimentRecord> run_e9(const SuiteOptions& options);
 /// single-thread points only: with one worker the engine is
 /// deterministic end to end and the record — wall-clock gauge pinned to
 /// zero — is golden-tested byte-for-byte like every simulator record.
+/// Full-mode records add gauge `verified_tput_mops`: committed m-ops
+/// per microsecond of run plus verify_execution wall time.
 std::vector<ExperimentRecord> run_e10(const SuiteOptions& options);
 /// E11: streaming-audit overhead — E1-shaped (clean) and E8-shaped
 /// (faulty, reliable-link) mlin runs, each in three audit modes: `off`
 /// (no sink attached), `stream` (a StreamingAuditor consumes the trace
 /// tap online, small windows so several cuts land even in smoke runs),
 /// and `posthoc` (ring-buffer sink, whole trace audited after the run).
-/// The JSON records carry only deterministic series (virtual time,
-/// messages, audit windows); the wall-clock ≤2x overhead claim is
-/// measured by the bench_e11_streaming google-benchmark binary.
+/// Smoke records carry only deterministic series (virtual time,
+/// messages, audit windows); full-mode records add each mode's median
+/// wall time as gauge `wall_ms`, the figure the ≤2x overhead claim
+/// rests on.
 std::vector<ExperimentRecord> run_e11(const SuiteOptions& options);
 
-/// Runs every selected experiment in order. Deterministic: same options
-/// → identical records. (One exception: E10's full-mode multi-thread
-/// points carry wall-clock throughput and scheduler-dependent abort
-/// counts; its smoke points — single-thread, wall-clock gauge zeroed —
-/// are as deterministic as every other experiment.)
+/// Runs every selected experiment in order. Smoke mode is deterministic:
+/// same options → identical records. Full mode adds wall-time gauges
+/// (E5/E11 `wall_ms`, E10 `exec_tput_mops` / `verified_tput_mops`), and
+/// E10's multi-thread points carry scheduler-dependent abort counts.
 std::vector<ExperimentRecord> run_suite(const SuiteOptions& options);
 
 /// Serializes records as the schema documented in docs/observability.md.

@@ -9,8 +9,9 @@
 //   bench_report --trace=trace.jsonl  # also write a demo span trace
 //   bench_report --spans              # phase-breakdown series (minor 2)
 //
-// Output is deterministic: rerunning with the same flags produces a
-// byte-identical file.
+// Smoke output is deterministic: rerunning with the same flags produces
+// a byte-identical file. Full-mode records add wall-time gauges (E5/E11
+// `wall_ms`, E10 `exec_tput_mops` / `verified_tput_mops`).
 #include <algorithm>
 #include <fstream>
 #include <iostream>

@@ -226,8 +226,10 @@ obs::StreamingAuditorOptions stream_options(const ExecConfig& config) {
   obs::StreamingAuditorOptions options;
   options.condition = core::Condition::kMLinearizability;
   options.initial_value = config.initial_value;
-  // OCC reads always name the latest committed writer, so a shallow
-  // retention horizon suffices; keep the default for safety margin.
+  // OCC reads name the latest committed writer of their object, which
+  // may have committed arbitrarily long ago on a cold object. The
+  // auditor never evicts a writer that is still current for one of its
+  // objects, so the default horizon only has to cover in-flight reads.
   return options;
 }
 

@@ -303,16 +303,30 @@ void StreamingAuditor::evict_writers() {
   };
   for (const Waiting& parked : waiting_) pin_reads(parked.mop);
   for (const ObservedMop& mop : buffer_) pin_reads(mop);
+  // So does the highest-position writer of any object it wrote: a later
+  // read of that object still names it however many other updates land,
+  // and evicting it would turn a clean run inconclusive. Only the
+  // candidate's own objects are consulted, so this costs O(footprint).
+  const auto still_current = [&](std::uint64_t key, const WriterRecord& writer) {
+    if (!writer.ww.has_value()) return false;
+    for (const auto& [object, value] : writer.writes) {
+      (void)value;
+      const auto& index = by_object_ww_[object];
+      if (!index.empty() && index.back().second == key) return true;
+    }
+    return false;
+  };
   std::deque<std::uint64_t> kept;
   while (writer_order_.size() + kept.size() > options_.retain_updates &&
          !writer_order_.empty()) {
     const std::uint64_t key = writer_order_.front();
     writer_order_.pop_front();
-    if (pinned.count(key) != 0) {
+    const auto it = writers_.find(key);
+    if (pinned.count(key) != 0 ||
+        (it != writers_.end() && still_current(key, it->second))) {
       kept.push_back(key);
       continue;
     }
-    const auto it = writers_.find(key);
     if (it != writers_.end()) {
       if (it->second.ww.has_value()) {
         ww_to_key_.erase(*it->second.ww);

@@ -74,7 +74,11 @@ struct StreamingAuditorOptions {
   std::size_t window = 512;
   /// Completed updates whose final writes stay resolvable. A read that
   /// references a writer older than this horizon makes the verdict
-  /// inconclusive, never wrong. Clamped up to `window`.
+  /// inconclusive, never wrong. Clamped up to `window`. Writers that are
+  /// still the highest-position writer of some object they wrote are
+  /// never evicted (a later read may still name them), so retention is
+  /// bounded by `retain_updates` plus the number of objects, plus the
+  /// writers that parked and buffered m-operations reference.
   std::size_t retain_updates = 8192;
   /// State budget for the per-window exact checker when the stream
   /// carries no abcast order (2PL). Exhaustion counts the window as

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -296,6 +297,34 @@ TEST(BenchReport, ZeroCommittedExecRunKeepsSchemaStableZeros) {
   registry.write_json_fields(json);
   json.end_object();
   EXPECT_NE(out.str().find("\"exec_retries\":{\"count\":0"), std::string::npos);
+}
+
+/// Wall time enters full-mode records only. E4 and E5 have no golden,
+/// so this is what keeps their smoke records free of clock readings.
+TEST(BenchReport, SmokeRecordsCarryNoWallTime) {
+  SuiteOptions options;
+  options.smoke = true;
+  const auto records = run_suite(options);
+  std::set<std::string> experiments;
+  for (const auto& record : records) {
+    experiments.insert(record.experiment);
+    const auto& gauges = record.metrics.gauges();
+    EXPECT_FALSE(gauges.contains("wall_ms")) << record.name;
+    EXPECT_FALSE(gauges.contains("verified_tput_mops")) << record.name;
+  }
+  EXPECT_EQ(experiments.size(), 11u);
+}
+
+TEST(BenchReport, FullE5RecordsCarryWallTime) {
+  SuiteOptions options;
+  options.only = {"E5"};
+  const auto records = run_suite(options);
+  ASSERT_FALSE(records.empty());
+  for (const auto& record : records) {
+    const auto& gauges = record.metrics.gauges();
+    ASSERT_TRUE(gauges.contains("wall_ms")) << record.name;
+    EXPECT_GT(gauges.at("wall_ms").value(), 0.0) << record.name;
+  }
 }
 
 /// Audit verdicts surface in the records: the E7 smoke sweep audits

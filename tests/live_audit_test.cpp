@@ -272,6 +272,65 @@ TEST(StreamingAuditor, ExecStreamingMatchesVerify) {
   EXPECT_EQ(report.windows_undecided, 0u);
 }
 
+// A cold object's latest writer can sit arbitrarily far behind the
+// stream head; a read of it must still resolve. A superseded writer
+// past the horizon must not: reading it ends inconclusive, never ok.
+TEST(StreamingAuditor, CurrentWriterSurvivesRetentionHorizon) {
+  constexpr std::size_t kRetain = 8;
+  StreamingAuditorOptions options;
+  options.window = 4;
+  options.retain_updates = kRetain;
+  core::Time clock = 0;
+  // One process, strictly sequential. Update `key` writes value `key`
+  // at abcast position `key`; a query reads that value back.
+  const auto mop = [&](std::uint64_t key, core::OpType type,
+                       core::ObjectId object, std::uint64_t writer) {
+    StreamingAuditor::ObservedMop out;
+    out.key = key;
+    out.invoke = clock++;
+    out.respond = clock++;
+    out.is_update = type == core::OpType::kWrite;
+    if (out.is_update) out.ww = key;
+    StreamingAuditor::ObservedOp op;
+    op.type = type;
+    op.object = object;
+    op.value = static_cast<core::Value>(writer);
+    op.writer = writer;
+    out.ops.push_back(op);
+    return out;
+  };
+  const auto write = [&](std::uint64_t key, core::ObjectId object) {
+    return mop(key, core::OpType::kWrite, object, key);
+  };
+  const auto read = [&](std::uint64_t key, core::ObjectId object,
+                        std::uint64_t writer) {
+    return mop(key, core::OpType::kRead, object, writer);
+  };
+  // Writer 1 owns object 0; writer 2 is superseded on object 2 by
+  // writer 3; then more than kRetain updates land on object 1.
+  const auto feed_prefix = [&](StreamingAuditor& auditor) {
+    clock = 0;
+    auditor.observe(write(1, 0));
+    auditor.observe(write(2, 2));
+    auditor.observe(write(3, 2));
+    for (std::uint64_t key = 4; key < 4 + 2 * kRetain; ++key) {
+      auditor.observe(write(key, 1));
+    }
+  };
+
+  StreamingAuditor current(options);
+  feed_prefix(current);
+  current.observe(read(100, 0, 1));
+  const StreamingReport& ok = current.finish();
+  EXPECT_EQ(ok.verdict, StreamVerdict::kOk) << ok.to_string();
+
+  StreamingAuditor superseded(options);
+  feed_prefix(superseded);
+  superseded.observe(read(101, 2, 2));
+  const StreamingReport& gone = superseded.finish();
+  EXPECT_EQ(gone.verdict, StreamVerdict::kInconclusive) << gone.to_string();
+}
+
 // ---------------------------------------------------------------------
 // Determinism: the report (every counter and the rendered string) is a
 // pure function of config + seed.

@@ -2,26 +2,25 @@
 # Benchmark artifact driver for the mocc tree.
 #
 # Usage: tools/run_bench.sh [--smoke] [--only=E1,E5] [--print]
-#                           [--out=PATH] [--trace=PATH] [--wallclock]
+#                           [--out=PATH] [--trace=PATH] [--spans]
 #
 # Builds the bench_report driver (build/ is configured on first use) and
-# runs the E1-E10 experiment suite, writing the schema-versioned
+# runs the E1-E11 experiment suite, writing the schema-versioned
 # BENCH_results.json artifact at the repo root (schema documented in
-# docs/observability.md). The artifact carries only deterministic
-# virtual-time metrics, so rerunning with the same flags produces a
-# byte-identical file — diff it, golden-test it, or feed it to the table
-# generators in EXPERIMENTS.md.
+# docs/observability.md). Smoke artifacts carry only deterministic
+# metrics, so rerunning with the same flags produces a byte-identical
+# file — diff it, golden-test it, or feed it to the table generators in
+# EXPERIMENTS.md. Full-mode records add wall-time gauges (E5/E11
+# `wall_ms`, E10 `exec_tput_mops` / `verified_tput_mops`).
 #
-#   --smoke      reduced CI-sized sweeps (seconds; still covers E1-E10)
-#   --only=...   comma-separated subset of E1..E10 (case-insensitive)
+#   --smoke      reduced CI-sized sweeps (seconds; still covers E1-E11)
+#   --only=...   comma-separated subset of E1..E11 (case-insensitive)
 #   --print      also render per-experiment tables to stdout
 #   --out=PATH   artifact path (default: BENCH_results.json)
 #   --trace=PATH additionally write a demo JSONL event trace
-#   --wallclock  additionally run the google-benchmark binaries for the
-#                selected experiments (wall-clock timing; NOT written to
-#                the JSON artifact, which must stay deterministic)
+#   --spans      add the causal-span phase breakdown (schema minor 2)
 #
-# All flags other than --wallclock are forwarded to bench_report.
+# Every flag is forwarded to bench_report, which rejects unknown ones.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,15 +28,11 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 
-WALLCLOCK=0
-ONLY=""
 FORWARD=()
 for arg in "$@"; do
   case "${arg}" in
-    --wallclock) WALLCLOCK=1 ;;
     # Normalize the subset to upper case so `--only=e8` works too.
-    --only=*) ONLY="$(echo "${arg#--only=}" | tr '[:lower:]' '[:upper:]')"
-              FORWARD+=("--only=${ONLY}") ;;
+    --only=*) FORWARD+=("--only=$(echo "${arg#--only=}" | tr '[:lower:]' '[:upper:]')") ;;
     *) FORWARD+=("${arg}") ;;
   esac
 done
@@ -47,34 +42,4 @@ if [ ! -f "${BUILD_DIR}/CMakeCache.txt" ]; then
 fi
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_report
 
-"${BUILD_DIR}/bench/bench_report" "${FORWARD[@]+"${FORWARD[@]}"}"
-
-if [ "${WALLCLOCK}" -eq 1 ]; then
-  declare -A BINARIES=(
-    [E1]=bench_e1_query_latency
-    [E2]=bench_e2_update_latency
-    [E3]=bench_e3_message_complexity
-    [E4]=bench_e4_np_checker
-    [E5]=bench_e5_constrained_checker
-    [E6]=bench_e6_baselines
-    [E7]=bench_e7_asynchrony
-    [E8]=bench_e8_faults
-    [E9]=bench_e9_batching
-    [E10]=bench_e10_exec
-  )
-  SELECTED=(E1 E2 E3 E4 E5 E6 E7 E8 E9 E10)
-  if [ -n "${ONLY}" ]; then
-    IFS=',' read -r -a SELECTED <<<"${ONLY}"
-  fi
-  for exp in "${SELECTED[@]}"; do
-    bin="${BINARIES[${exp}]:-}"
-    if [ -z "${bin}" ]; then
-      echo "unknown experiment '${exp}' (expected E1..E10)" >&2
-      exit 2
-    fi
-    cmake --build "${BUILD_DIR}" -j "${JOBS}" --target "${bin}"
-    echo
-    echo "== wall clock: ${exp} (${bin}) =="
-    "${BUILD_DIR}/bench/${bin}"
-  done
-fi
+exec "${BUILD_DIR}/bench/bench_report" "${FORWARD[@]+"${FORWARD[@]}"}"
