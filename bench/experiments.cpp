@@ -4,6 +4,7 @@
 #include <chrono>
 #include <ostream>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "core/admissibility.hpp"
@@ -538,7 +539,7 @@ std::vector<ExperimentRecord> run_e5(const SuiteOptions& options) {
   std::vector<ExperimentRecord> records;
   const std::vector<std::size_t> fast_sizes =
       options.smoke ? std::vector<std::size_t>{16, 32}
-                    : std::vector<std::size_t>{16, 64, 256};
+                    : std::vector<std::size_t>{16, 64, 256, 1024, 4096};
   for (const std::size_t target : fast_sizes) {
     const Recorded recorded = record_history(target);
     ExperimentRecord record;
@@ -860,8 +861,8 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
   // point's merged (epoch, tid) log is re-checked by the admissibility
   // stack; the verdict lands in the record's audit field. The fast
   // check + value coherence + replay invariants run everywhere; the
-  // P5.x audit (quadratic in window size x objects) runs on the
-  // high-contention legs, where validation aborts actually happen.
+  // P5.x audit runs on the high-contention legs, where validation aborts
+  // actually happen.
   //
   // Smoke mode keeps only the single-thread points: one worker commits
   // first-try in a deterministic order, so the record bytes — with the
@@ -930,6 +931,9 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
             result.stats.elapsed_seconds * 1e6 + verify_ms * 1e3;
         record.metrics.gauge("verified_tput_mops")
             .set(static_cast<double>(result.stats.committed) / total_us);
+        // Thread points above this count are oversubscribed.
+        record.metrics.gauge("host_threads")
+            .set(static_cast<double>(std::thread::hardware_concurrency()));
       }
       record.metrics.counter("exec_verify_windows").set(verdict.windows);
       record.audit = verdict.ok ? ExperimentRecord::Audit::kOk

@@ -44,6 +44,16 @@ struct AuditReport {
 /// Checks P5.1–P5.4 and P5.7–P5.8 (Theorem 10's hypotheses) plus the
 /// derived WW-constraint (Lemma 8) and legality (Lemma 9) on the closed
 /// relation. `trace.sync_order` must relate ids of `h`.
+///
+/// P5.3 and P5.4 are decided on the Hasse edges of the closed relation
+/// (its transitive reduction) rather than on all ~n²/2 closed pairs.
+/// Every closed pair β ~> α is a path of Hasse edges. Pointwise ≤ is
+/// transitive, so P5.3 on every edge gives ts(β) ≤ ts(α). The path's last
+/// edge γ ~> α has ts(γ)[x] < ts(α)[x] for each x in wobjects(α) (P5.4 on
+/// that edge), and ts(β)[x] ≤ ts(γ)[x], so P5.4 holds for the pair. Both
+/// properties thus hold on every closed pair iff they hold on every Hasse
+/// edge. When an edge fails, the all-pairs pass runs to list every
+/// violating pair, so the report is the same either way.
 AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trace);
 
 }  // namespace mocc::core

@@ -1,6 +1,10 @@
 #include "core/constraints.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
+
+#include "util/assert.hpp"
 
 namespace mocc::core {
 
@@ -47,6 +51,21 @@ bool requires_ordering(const History& h, MOpId a, MOpId b, Constraint constraint
 
 std::optional<ConstraintViolation> find_constraint_violation(
     const History& h, const util::BitRelation& order, Constraint constraint) {
+  if (constraint == Constraint::kWW) {
+    // Every pair of updates ordered: test the update bitset against each
+    // update's row | column words.
+    MOCC_ASSERT_MSG(h.size() <= order.size(), "order does not cover the history");
+    std::vector<std::uint64_t> updates(order.words_per_row(), 0);
+    for (MOpId a = 0; a < h.size(); ++a) {
+      if (h.mop(a).is_update()) updates[a / 64] |= std::uint64_t{1} << (a % 64);
+    }
+    std::optional<ConstraintViolation> first;
+    util::for_each_unordered_pair(order, updates, [&](std::size_t a, std::size_t b) {
+      first = ConstraintViolation{constraint, static_cast<MOpId>(a), static_cast<MOpId>(b)};
+      return false;
+    });
+    return first;
+  }
   for (MOpId a = 0; a < h.size(); ++a) {
     for (MOpId b = a + 1; b < h.size(); ++b) {
       if (!requires_ordering(h, a, b, constraint)) continue;

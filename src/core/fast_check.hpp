@@ -4,10 +4,17 @@
 // For a history under the OO- or WW-constraint, admissibility is
 // equivalent to legality (Theorem 7), and legality is a polynomial check.
 // The witness construction follows Lemmas 3–5: build the read-write
-// precedence ~rw (D4.11), close ~H ∪ ~rw into the extended relation ~+
-// (D4.12) — irreflexive by Lemma 3/4 — and linearize; Lemma 5 (P4.5)
-// guarantees *any* linear extension of ~+ is a legal sequential history
-// equivalent to the input.
+// precedence ~rw (D4.11); the extended relation ~+ (D4.12) is the closure
+// of ~H ∪ ~rw, irreflexive by Lemma 3/4; Lemma 5 (P4.5) guarantees *any*
+// linear extension of ~+ is a legal sequential history equivalent to the
+// input. A linear extension of ~H ∪ ~rw is one of ~+, and Kahn's algorithm
+// fails on the union exactly when ~+ is cyclic, so the check closes the
+// base order once and linearizes the union without a second closure.
+//
+// Cost per check: one closure of the base order (see util/relation.hpp),
+// the WW/OO/WO constraint scan (word tests for WW), the legality scan (one
+// AND of writer, row and column words per external read), ~rw (one such
+// AND per read) and one linearization.
 #pragma once
 
 #include <optional>

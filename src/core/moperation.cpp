@@ -1,8 +1,7 @@
 #include "core/moperation.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <optional>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -18,37 +17,39 @@ MOperation::MOperation(ProcessId process, std::vector<Operation> ops, Time invok
       label_(std::move(label)) {
   MOCC_ASSERT_MSG(invoke_ <= response_, "m-operation responds before it is invoked");
 
-  std::set<ObjectId> all;
-  std::set<ObjectId> read_set;
-  std::set<ObjectId> write_set;
-  std::set<ObjectId> written_so_far;
-  std::map<ObjectId, std::size_t> last_write_pos;
-
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Operation& op = ops_[i];
-    all.insert(op.object);
-    if (op.type == OpType::kRead) {
-      read_set.insert(op.object);
+  // Group the ops by object, program order kept within a group: each
+  // group yields its object, whether it is read and written, its final
+  // write, and its external reads (those before the group's first write).
+  std::vector<std::size_t> by_object(ops_.size());
+  for (std::size_t i = 0; i < by_object.size(); ++i) by_object[i] = i;
+  std::sort(by_object.begin(), by_object.end(), [&](std::size_t a, std::size_t b) {
+    return ops_[a].object != ops_[b].object ? ops_[a].object < ops_[b].object : a < b;
+  });
+  std::vector<std::size_t> external_pos;
+  for (std::size_t g = 0; g < by_object.size();) {
+    const ObjectId object = ops_[by_object[g]].object;
+    bool read = false;
+    std::optional<std::size_t> last_write;
+    for (; g < by_object.size() && ops_[by_object[g]].object == object; ++g) {
+      const std::size_t pos = by_object[g];
+      if (ops_[pos].type == OpType::kWrite) {
+        last_write = pos;
+        continue;
+      }
+      read = true;
       // A read preceded by an own write to the same object is internal:
       // it must return the own value and imposes no cross-m-op constraint.
-      if (written_so_far.find(op.object) == written_so_far.end()) {
-        external_reads_.push_back(op);
-      }
-    } else {
-      write_set.insert(op.object);
-      written_so_far.insert(op.object);
-      last_write_pos[op.object] = i;
+      if (!last_write.has_value()) external_pos.push_back(pos);
+    }
+    objects_.push_back(object);
+    if (read) robjects_.push_back(object);
+    if (last_write.has_value()) {
+      wobjects_.push_back(object);
+      final_writes_.push_back(ops_[*last_write]);  // object order: deterministic
     }
   }
-
-  objects_.assign(all.begin(), all.end());
-  robjects_.assign(read_set.begin(), read_set.end());
-  wobjects_.assign(write_set.begin(), write_set.end());
-
-  // Final writes in object order (deterministic).
-  for (const auto& [object, pos] : last_write_pos) {
-    final_writes_.push_back(ops_[pos]);
-  }
+  std::sort(external_pos.begin(), external_pos.end());
+  for (const std::size_t pos : external_pos) external_reads_.push_back(ops_[pos]);
 }
 
 bool MOperation::writes(ObjectId x) const {

@@ -1,5 +1,8 @@
 #include "core/relations.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace mocc::core {
 
 const char* condition_name(Condition c) {
@@ -11,16 +14,21 @@ const char* condition_name(Condition c) {
   return "?";
 }
 
+void add_chain(util::BitRelation& rel, const std::vector<MOpId>& chain) {
+  // Walk the chain backwards: `later` holds every element after the
+  // current one, which is exactly what its row gains.
+  const std::size_t words = rel.words_per_row();
+  std::vector<std::uint64_t> later(words, 0);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    std::uint64_t* row = rel.row_words(*it);
+    for (std::size_t w = 0; w < words; ++w) row[w] |= later[w];
+    later[*it / 64] |= std::uint64_t{1} << (*it % 64);
+  }
+}
+
 util::BitRelation process_order(const History& h) {
   util::BitRelation rel(h.size());
-  for (ProcessId p = 0; p < h.num_processes(); ++p) {
-    const auto& seq = h.process_ops(p);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      for (std::size_t j = i + 1; j < seq.size(); ++j) {
-        rel.add(seq[i], seq[j]);
-      }
-    }
-  }
+  for (ProcessId p = 0; p < h.num_processes(); ++p) add_chain(rel, h.process_ops(p));
   return rel;
 }
 
@@ -37,11 +45,27 @@ util::BitRelation reads_from_order(const History& h) {
 }
 
 util::BitRelation real_time_order(const History& h) {
-  util::BitRelation rel(h.size());
-  for (MOpId a = 0; a < h.size(); ++a) {
-    for (MOpId b = 0; b < h.size(); ++b) {
-      if (a != b && h.mop(a).response() < h.mop(b).invoke()) rel.add(a, b);
+  // Sweep the m-operations by response time while a bitset `later` keeps
+  // those invoked after the current response: that bitset is the row.
+  const std::size_t n = h.size();
+  util::BitRelation rel(n);
+  std::vector<MOpId> by_invoke(n);
+  for (MOpId id = 0; id < n; ++id) by_invoke[id] = id;
+  std::vector<MOpId> by_response = by_invoke;
+  std::sort(by_invoke.begin(), by_invoke.end(),
+            [&](MOpId a, MOpId b) { return h.mop(a).invoke() < h.mop(b).invoke(); });
+  std::sort(by_response.begin(), by_response.end(),
+            [&](MOpId a, MOpId b) { return h.mop(a).response() < h.mop(b).response(); });
+  std::vector<std::uint64_t> later(rel.words_per_row(), 0);
+  for (const MOpId b : by_invoke) later[b / 64] |= std::uint64_t{1} << (b % 64);
+  std::size_t next = 0;
+  for (const MOpId a : by_response) {
+    const Time response = h.mop(a).response();
+    for (; next < n && h.mop(by_invoke[next]).invoke() <= response; ++next) {
+      later[by_invoke[next] / 64] &= ~(std::uint64_t{1} << (by_invoke[next] % 64));
     }
+    // No self pair: a responds no earlier than it invokes, so it has left.
+    std::copy(later.begin(), later.end(), rel.row_words(a));
   }
   return rel;
 }

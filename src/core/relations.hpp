@@ -9,6 +9,8 @@
 //   m-normality              : process order ∪ reads-from ∪ object order
 #pragma once
 
+#include <vector>
+
 #include "core/history.hpp"
 #include "util/relation.hpp"
 
@@ -22,6 +24,10 @@ enum class Condition {
 };
 
 const char* condition_name(Condition c);
+
+/// Orders every element of `chain` before every later one: the total
+/// order along the sequence, filled row by row in O(|chain| * n / 64).
+void add_chain(util::BitRelation& rel, const std::vector<MOpId>& chain);
 
 /// α ~P~> β : same process, α issued before β.
 util::BitRelation process_order(const History& h);

@@ -8,8 +8,10 @@
 // explicit ~ww synchronization, WW constraint), and the P5.x audit over
 // the Figure-6 trace (~rf ∪ ~t ∪ ~ww).
 //
-// Scaling: the checkers' dense relations are quadratic in history size
-// (the P5.x audit worse), so a 100k-op run is replayed in WINDOWS of
+// Scaling: the checkers work on dense n x n bit relations, so memory and
+// the word scans grow with the square of the history size (the closures
+// and the row-by-row scans are O(n^2 / 64) words and up, see
+// util/relation.hpp), and a 100k-op run is replayed in WINDOWS of
 // `options.window` m-operations. Every window after the first starts
 // with a synthetic snapshot m-operation (process id = num workers) that
 // writes every object the value it had at the window cut, with ww_seq
@@ -40,8 +42,11 @@
 namespace mocc::exec {
 
 struct VerifyOptions {
-  /// M-operations per replay window. The P5.x audit is the binding cost:
-  /// O(window² · objects) timestamp comparisons per window.
+  /// M-operations per replay window. Each window builds a few
+  /// window x window bit relations; the P5.x audit compares timestamps
+  /// (O(objects) each) only along the Hasse edges of the closed sync
+  /// order, and the closures, the constraint and legality scans work on
+  /// 64-bit row words.
   std::size_t window = 512;
   /// Run the P5.x audit per window (the fast check, value coherence, and
   /// the replay invariants always run).

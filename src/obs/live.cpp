@@ -7,6 +7,7 @@
 #include "core/admissibility.hpp"
 #include "core/fast_check.hpp"
 #include "core/history.hpp"
+#include "core/relations.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
@@ -536,12 +537,11 @@ void StreamingAuditor::cut_window() {
     }
   } else {
     std::sort(ww_members.begin(), ww_members.end());
+    std::vector<core::MOpId> chain;
+    chain.reserve(ww_members.size());
+    for (const auto& member : ww_members) chain.push_back(member.second);
     util::BitRelation ww(h.size());
-    for (std::size_t i = 0; i < ww_members.size(); ++i) {
-      for (std::size_t j = i + 1; j < ww_members.size(); ++j) {
-        ww.add(ww_members[i].second, ww_members[j].second);
-      }
-    }
+    core::add_chain(ww, chain);
     const core::FastCheckResult fast = core::fast_check_condition(
         h, options_.condition, ww, core::Constraint::kWW);
     if (!fast.constraint_holds || !fast.legal || !fast.admissible) {

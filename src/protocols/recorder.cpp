@@ -78,11 +78,10 @@ util::BitRelation ExecutionRecorder::build_ww_order_locked() const {
     if (records_[id].ww_seq.has_value()) updates.emplace_back(*records_[id].ww_seq, id);
   }
   std::sort(updates.begin(), updates.end());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    for (std::size_t j = i + 1; j < updates.size(); ++j) {
-      ww.add(updates[i].second, updates[j].second);
-    }
-  }
+  std::vector<core::MOpId> chain;
+  chain.reserve(updates.size());
+  for (const auto& update : updates) chain.push_back(update.second);
+  core::add_chain(ww, chain);
   return ww;
 }
 

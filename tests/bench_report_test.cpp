@@ -311,6 +311,7 @@ TEST(BenchReport, SmokeRecordsCarryNoWallTime) {
     const auto& gauges = record.metrics.gauges();
     EXPECT_FALSE(gauges.contains("wall_ms")) << record.name;
     EXPECT_FALSE(gauges.contains("verified_tput_mops")) << record.name;
+    EXPECT_FALSE(gauges.contains("host_threads")) << record.name;
   }
   EXPECT_EQ(experiments.size(), 11u);
 }
@@ -320,10 +321,16 @@ TEST(BenchReport, FullE5RecordsCarryWallTime) {
   options.only = {"E5"};
   const auto records = run_suite(options);
   ASSERT_FALSE(records.empty());
+  std::set<std::string> names;
   for (const auto& record : records) {
+    names.insert(record.name);
     const auto& gauges = record.metrics.gauges();
     ASSERT_TRUE(gauges.contains("wall_ms")) << record.name;
     EXPECT_GT(gauges.at("wall_ms").value(), 0.0) << record.name;
+  }
+  // The Theorem-7 cost curve runs to 4096 m-operations.
+  for (const std::size_t m : {16, 64, 256, 1024, 4096}) {
+    EXPECT_TRUE(names.contains("E5/theorem7_poly/m" + std::to_string(m))) << m;
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
@@ -410,6 +413,207 @@ TEST(BitRelation, LargeUniverseChainAcrossWordBoundary) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ((*order)[i], i);
 }
 
+// Word-boundary sizes for the row-word kernels: empty, one element, one
+// short of a word, exactly one word, one past it, and two words plus one.
+constexpr std::size_t kBoundarySizes[] = {0, 1, 63, 64, 65, 129};
+
+/// Smallest-index-first Kahn by pairwise has(): the reference order.
+std::optional<std::vector<std::size_t>> scan_order(const BitRelation& r) {
+  const std::size_t n = r.size();
+  std::vector<std::size_t> indeg(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) indeg[j] += r.has(i, j) ? 1 : 0;
+  }
+  std::vector<bool> placed(n, false);
+  std::vector<std::size_t> order;
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t pick = n;
+    for (std::size_t i = 0; i < n && pick == n; ++i) {
+      if (!placed[i] && indeg[i] == 0) pick = i;
+    }
+    if (pick == n) return std::nullopt;
+    placed[pick] = true;
+    order.push_back(pick);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!placed[j] && r.has(pick, j)) --indeg[j];
+    }
+  }
+  return order;
+}
+
+/// Warshall by pairwise has()/add(): the reference closure.
+BitRelation scan_closure(const BitRelation& r) {
+  BitRelation c = r;
+  for (std::size_t k = 0; k < c.size(); ++k) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (!c.has(i, k)) continue;
+      for (std::size_t j = 0; j < c.size(); ++j) {
+        if (c.has(k, j)) c.add(i, j);
+      }
+    }
+  }
+  return c;
+}
+
+bool same_pairs(const BitRelation& a, const BitRelation& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      if (a.has(i, j) != b.has(i, j)) return false;
+    }
+  }
+  return true;
+}
+
+/// A random DAG whose pairs follow a shuffled rank, so indices do not run
+/// forward (the renaming path), with edge probability 1/`sparsity`.
+BitRelation random_dag(std::size_t n, Rng& rng, std::uint64_t sparsity) {
+  std::vector<std::size_t> rank(n);
+  for (std::size_t i = 0; i < n; ++i) rank[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(rank[i - 1], rank[rng.next_below(i)]);
+  BitRelation r(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rank[i] < rank[j] && rng.next_below(sparsity) == 0) r.add(i, j);
+    }
+  }
+  return r;
+}
+
+TEST(BitRelation, TopologicalOrderTieBreakAtWordBoundaries) {
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    // No pairs: every element is ready at once, smallest first.
+    const auto empty = BitRelation(n).topological_order();
+    ASSERT_TRUE(empty.has_value());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*empty)[i], i);
+    // A descending chain forces the reverse order.
+    BitRelation down(n);
+    for (std::size_t i = 0; i + 1 < n; ++i) down.add(i + 1, i);
+    const auto reversed = down.topological_order();
+    ASSERT_TRUE(reversed.has_value());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*reversed)[i], n - 1 - i);
+    // Two independent ascending chains interleave by index.
+    BitRelation two(n);
+    for (std::size_t i = 0; i + 2 < n; ++i) two.add(i, i + 2);
+    EXPECT_EQ(two.topological_order(), scan_order(two));
+    if (n == 0) continue;
+    // A back edge (or a self-loop when n = 1) is a cycle.
+    BitRelation cyclic = down;
+    cyclic.add(0, n - 1);
+    EXPECT_FALSE(cyclic.topological_order().has_value());
+    EXPECT_FALSE(cyclic.is_acyclic());
+    EXPECT_FALSE(cyclic.transitive_closure().closed_is_irreflexive());
+  }
+}
+
+TEST(BitRelation, KernelsMatchPairwiseScansOnRandomRelations) {
+  Rng rng(42);
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    for (const std::uint64_t sparsity : {2u, 9u, 40u}) {
+      const BitRelation dag = random_dag(n, rng, sparsity);
+      const BitRelation closed = dag.transitive_closure();
+      EXPECT_TRUE(same_pairs(closed, scan_closure(dag)));
+      // A relation and its closure linearize identically.
+      EXPECT_EQ(dag.topological_order(), scan_order(dag));
+      EXPECT_EQ(closed.topological_order(), dag.topological_order());
+      EXPECT_TRUE(dag.is_acyclic());
+
+      std::vector<std::size_t> indeg(n, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) indeg[j] += dag.has(i, j) ? 1 : 0;
+      }
+      EXPECT_EQ(dag.in_degrees(), indeg);
+
+      const BitRelation inverse = dag.transposed();
+      ASSERT_EQ(inverse.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(inverse.has(j, i), dag.has(i, j));
+      }
+
+      // The reduction closes back to the closure and keeps no pair that
+      // another element splits.
+      const BitRelation hasse = closed.transitive_reduction();
+      EXPECT_TRUE(same_pairs(hasse.transitive_closure(), closed));
+      for (std::size_t i = 0; i < n; ++i) {
+        for (const std::size_t j : hasse.successors(i)) {
+          for (std::size_t k = 0; k < n; ++k) {
+            EXPECT_FALSE(closed.has(i, k) && closed.has(k, j)) << i << "->" << k << "->" << j;
+          }
+        }
+      }
+    }
+    // Cyclic input takes the Warshall path.
+    if (n >= 2) {
+      BitRelation cyclic = random_dag(n, rng, 3);
+      cyclic.add(0, 1);
+      cyclic.add(1, 0);
+      EXPECT_TRUE(same_pairs(cyclic.transitive_closure(), scan_closure(cyclic)));
+      EXPECT_EQ(cyclic.topological_order(), std::nullopt);
+    }
+  }
+}
+
+TEST(BitRelation, TransitiveReductionOfAChainIsTheChain) {
+  constexpr std::size_t kN = 130;
+  BitRelation chain(kN);
+  for (std::size_t i = 0; i + 1 < kN; ++i) chain.add(i, i + 1);
+  EXPECT_TRUE(same_pairs(chain.transitive_closure().transitive_reduction(), chain));
+}
+
+TEST(BitRelation, UnorderedPairsMatchPairwiseScan) {
+  Rng rng(7);
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    const BitRelation closed = random_dag(n, rng, 6).transitive_closure();
+    std::vector<std::uint64_t> members(closed.words_per_row(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.next_below(3) != 0) members[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    const auto member = [&](std::size_t i) { return ((members[i / 64] >> (i % 64)) & 1U) != 0; };
+    std::vector<std::pair<std::size_t, std::size_t>> want;
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (member(a) && member(b) && !closed.has(a, b) && !closed.has(b, a)) {
+          want.emplace_back(a, b);
+        }
+      }
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> got;
+    for_each_unordered_pair(closed, members, [&](std::size_t a, std::size_t b) {
+      got.emplace_back(a, b);
+      return true;
+    });
+    EXPECT_EQ(got, want);
+    // Stopping early yields exactly the first pair.
+    std::vector<std::pair<std::size_t, std::size_t>> first;
+    for_each_unordered_pair(closed, members, [&](std::size_t a, std::size_t b) {
+      first.emplace_back(a, b);
+      return false;
+    });
+    EXPECT_EQ(first.size(), want.empty() ? 0u : 1u);
+    if (!want.empty()) {
+      EXPECT_EQ(first[0], want[0]);
+    }
+  }
+}
+
+TEST(BitRelation, RowWordsExposeTheBitLayout) {
+  BitRelation r(70);
+  r.add(3, 0);
+  r.add(3, 65);
+  ASSERT_EQ(r.words_per_row(), 2u);
+  const BitRelation& view = r;
+  EXPECT_EQ(view.row_words(3)[0], 1u);
+  EXPECT_EQ(view.row_words(3)[1], 2u);
+  r.row_words(4)[1] |= 1U;  // (4, 64)
+  EXPECT_TRUE(r.has(4, 64));
+  std::vector<std::size_t> bits;
+  for_each_bit(view.row_words(3), view.words_per_row(), [&](std::size_t j) { bits.push_back(j); });
+  EXPECT_EQ(bits, (std::vector<std::size_t>{0, 65}));
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(BitRelationDeath, AddOutOfRangeAborts) {
   BitRelation r(4);
@@ -432,6 +636,20 @@ TEST(BitRelationDeath, SuccessorsPredecessorsOutOfRangeAbort) {
   const BitRelation r(3);
   EXPECT_DEATH((void)r.successors(3), "outside the universe");
   EXPECT_DEATH((void)r.predecessors(9), "outside the universe");
+}
+
+TEST(BitRelationDeath, RowWordsOutOfRangeAborts) {
+  BitRelation r(3);
+  const BitRelation& view = r;
+  EXPECT_DEATH((void)r.row_words(3), "outside the universe");
+  EXPECT_DEATH((void)view.row_words(64), "outside the universe");
+}
+
+TEST(BitRelationDeath, TransitiveReductionOfCycleAborts) {
+  BitRelation r(2);
+  r.add(0, 1);
+  r.add(1, 0);
+  EXPECT_DEATH((void)r.transitive_reduction(), "cyclic");
 }
 #endif  // GTEST_HAS_DEATH_TEST
 
