@@ -86,7 +86,7 @@ class AtomicBroadcast {
   void send(sim::Context& ctx, sim::NodeId to, std::uint32_t kind,
             std::vector<std::uint8_t> payload) {
     if (link_ != nullptr) {
-      link_->send(ctx, to, kind, std::move(payload));
+      link_->send(ctx, to, kind, payload);
       return;
     }
     ctx.send(to, kind, std::move(payload));

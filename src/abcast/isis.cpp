@@ -12,7 +12,7 @@ void IsisAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> payload)
   util::ByteWriter out;
   out.put_u32(ctx.self());
   out.put_u64(msgid);
-  out.put_string(std::string(payload.begin(), payload.end()));
+  out.put_bytes(payload);
   send_to_others(ctx, kPropose, out.bytes());
 
   // Own proposal.
@@ -134,9 +134,7 @@ bool IsisAbcast::on_message(sim::Context& ctx, const sim::Message& message) {
       util::ByteReader in(message.payload);
       const sim::NodeId origin = in.get_u32();
       const std::uint64_t msgid = in.get_u64();
-      const std::string payload = in.get_string();
-      handle_propose(ctx, origin, msgid,
-                     std::vector<std::uint8_t>(payload.begin(), payload.end()));
+      handle_propose(ctx, origin, msgid, in.get_bytes());
       return true;
     }
     case kProposal: {

@@ -1,5 +1,7 @@
 #include "fault/reliable_link.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/bytes.hpp"
@@ -11,14 +13,17 @@ namespace {
 /// kLinkData frame: u64 seq | u32 inner kind | raw inner payload.
 constexpr std::size_t kDataHeaderBytes = 12;
 
+/// kLinkBatchData frame header: u64 seq | u32 item count.
+constexpr std::size_t kBatchHeaderBytes = 12;
+
 std::vector<std::uint8_t> encode_data(std::uint64_t seq, std::uint32_t kind,
-                                      const std::vector<std::uint8_t>& payload) {
+                                      std::span<const std::uint8_t> payload) {
   util::ByteWriter writer;
+  writer.reserve(kDataHeaderBytes + payload.size());
   writer.put_u64(seq);
   writer.put_u32(kind);
-  std::vector<std::uint8_t> frame = writer.take();
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  writer.put_raw(payload);
+  return writer.take();
 }
 
 }  // namespace
@@ -39,18 +44,57 @@ void ReliableLink::bump(std::uint64_t LinkStats::* field) {
   if (shared_ != nullptr) ++(shared_->*field);
 }
 
+ReliableLink::Outbound& ReliableLink::outbound(sim::NodeId to) {
+  if (to >= outbound_.size()) outbound_.resize(to + 1);
+  return outbound_[to];
+}
+
+ReliableLink::Inbound& ReliableLink::inbound(sim::NodeId from) {
+  if (from >= inbound_.size()) inbound_.resize(from + 1);
+  return inbound_[from];
+}
+
+bool ReliableLink::Inbound::record(std::uint64_t seq) {
+  if (seq <= floor) return false;
+  if (seq == floor + 1) {
+    ++floor;
+    auto filled = above.begin();
+    while (filled != above.end() && *filled == floor + 1) {
+      ++floor;
+      ++filled;
+    }
+    above.erase(above.begin(), filled);
+    return true;
+  }
+  const auto at = std::lower_bound(above.begin(), above.end(), seq);
+  if (at != above.end() && *at == seq) return false;
+  above.insert(at, seq);
+  return true;
+}
+
+void ReliableLink::settle(std::uint64_t token) {
+  const Pending& pending = **pending_.find(token);
+  buffer_bytes_ -= pending.frame.size();
+  outbound_[pending.to].token_by_seq.erase(pending.seq);
+  pending_.erase(token);
+}
+
 void ReliableLink::send(sim::Context& ctx, sim::NodeId to, std::uint32_t kind,
-                        std::vector<std::uint8_t> payload) {
+                        std::span<const std::uint8_t> payload) {
   MOCC_ASSERT_MSG(to != ctx.self(), "reliable link never loops back to self");
+  Outbound& out = outbound(to);
   if (options_.coalesce_max_items > 1) {
-    // Coalescing path: park the message; a size, byte, or age trigger
-    // frames the whole queue under one link seq.
-    CoalesceQueue& queue = coalesce_[to];
-    const bool was_empty = queue.items.empty();
+    // Coalescing path: encode the message into the queue's frame body; a
+    // size, byte, or age trigger frames the whole queue under one link seq.
+    CoalesceQueue& queue = out.coalesce;
+    const bool was_empty = queue.items == 0;
+    if (was_empty) queue.carrier = ctx.trace_context();
+    queue.body.put_u32(kind);
+    queue.body.put_bytes(payload);
+    ++queue.items;
     queue.payload_bytes += payload.size();
-    queue.items.push_back(QueuedItem{kind, std::move(payload), ctx.trace_context()});
     const bool size_hit =
-        queue.items.size() >= options_.coalesce_max_items ||
+        queue.items >= options_.coalesce_max_items ||
         (options_.coalesce_max_bytes != 0 &&
          queue.payload_bytes >= options_.coalesce_max_bytes);
     if (size_hit) {
@@ -62,7 +106,7 @@ void ReliableLink::send(sim::Context& ctx, sim::NodeId to, std::uint32_t kind,
     }
     return;
   }
-  const std::uint64_t seq = ++next_seq_[to];
+  const std::uint64_t seq = ++out.last_seq;
   transmit_frame(ctx, to, kLinkData, kind, seq, encode_data(seq, kind, payload));
 }
 
@@ -70,9 +114,8 @@ void ReliableLink::transmit_frame(sim::Context& ctx, sim::NodeId to,
                                   std::uint32_t wire_kind, std::uint32_t inner_kind,
                                   std::uint64_t seq,
                                   std::vector<std::uint8_t> frame) {
-  const std::uint64_t token = next_token_++;
-
-  Pending pending;
+  auto boxed = std::make_unique<Pending>();
+  Pending& pending = *boxed;
   pending.to = to;
   pending.seq = seq;
   pending.kind = inner_kind;
@@ -84,39 +127,37 @@ void ReliableLink::transmit_frame(sim::Context& ctx, sim::NodeId to,
   pending.last_sent = ctx.now();
 
   ctx.send(to, wire_kind, pending.frame);
-  ctx.set_timer(pending.rto, kLinkTimerTag | token);
-  token_by_dest_[{to, seq}] = token;
   buffer_bytes_ += pending.frame.size();
-  pending_.emplace(token, std::move(pending));
+  const std::uint64_t token = pending_.push(std::move(boxed));
+  ctx.set_timer(pending.rto, kLinkTimerTag | token);
+  const std::uint64_t key = outbound(to).token_by_seq.push(token);
+  MOCC_ASSERT_MSG(key == seq, "link seqs must reach transmit_frame once each, in order");
   bump(&LinkStats::data_sent);
 }
 
 void ReliableLink::flush_queue(sim::Context& ctx, sim::NodeId to,
                                std::uint32_t trigger) {
-  const auto queue_it = coalesce_.find(to);
-  if (queue_it == coalesce_.end() || queue_it->second.items.empty()) return;
+  if (to >= outbound_.size() || outbound_[to].coalesce.items == 0) return;
   // Swap out before transmitting: upper-layer reactions must enqueue
   // into a fresh queue, not the one being framed.
   CoalesceQueue queue;
-  std::swap(queue, queue_it->second);
+  std::swap(queue, outbound_[to].coalesce);
 
-  const std::uint64_t seq = ++next_seq_[to];
+  const std::uint64_t seq = ++outbound_[to].last_seq;
   util::ByteWriter out;
+  out.reserve(kBatchHeaderBytes + queue.body.size());
   out.put_u64(seq);
-  out.put_u32(static_cast<std::uint32_t>(queue.items.size()));
-  for (const QueuedItem& item : queue.items) {
-    out.put_u32(item.kind);
-    out.put_string(std::string(item.payload.begin(), item.payload.end()));
-  }
+  out.put_u32(queue.items);
+  out.put_raw(queue.body.bytes());
   std::vector<std::uint8_t> frame = out.take();
   if (auto* sink = ctx.trace_sink()) {
     sink->on_event({obs::TraceEventType::kBatchFlush, ctx.now(), ctx.self(), to,
-                    trigger, frame.size(), queue.items.size()});
+                    trigger, frame.size(), queue.items});
   }
   // The frame rides the first queued item's context (the batch carrier;
   // docs/batching.md) — restore the caller's context afterwards.
   const obs::SpanContext saved = ctx.trace_context();
-  ctx.set_trace_context(queue.items.front().trace);
+  ctx.set_trace_context(queue.carrier);
   transmit_frame(ctx, to, kLinkBatchData, kLinkBatchData, seq, std::move(frame));
   ctx.set_trace_context(saved);
 }
@@ -126,30 +167,23 @@ void ReliableLink::flush(sim::Context& ctx, sim::NodeId to) {
 }
 
 void ReliableLink::flush_all(sim::Context& ctx) {
-  for (auto& [to, queue] : coalesce_) {
-    (void)queue;
+  for (sim::NodeId to = 0; to < outbound_.size(); ++to) {
     flush_queue(ctx, to, /*trigger=*/2);
   }
 }
 
 std::size_t ReliableLink::queued(sim::NodeId to) const {
-  const auto it = coalesce_.find(to);
-  return it == coalesce_.end() ? 0 : it->second.items.size();
+  return to < outbound_.size() ? outbound_[to].coalesce.items : 0;
 }
 
 bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
   if (message.kind == kLinkAck) {
     util::ByteReader reader(message.payload);
     const std::uint64_t seq = reader.get_u64();
-    const auto key = std::make_pair(message.from, seq);
-    auto token_it = token_by_dest_.find(key);
-    if (token_it != token_by_dest_.end()) {
-      const auto pending_it = pending_.find(token_it->second);
-      if (pending_it != pending_.end()) {
-        buffer_bytes_ -= pending_it->second.frame.size();
-        pending_.erase(pending_it);
+    if (message.from < outbound_.size()) {
+      if (const std::uint64_t* token = outbound_[message.from].token_by_seq.find(seq)) {
+        settle(*token);
       }
-      token_by_dest_.erase(token_it);
     }
     // Acks for already-settled seqs (duplicated ack, or ack after
     // exhaustion) are ignored; retransmit timers for erased entries
@@ -166,10 +200,7 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
     ctx.send(message.from, kLinkAck, ack.take());
     bump(&LinkStats::acks_sent);
 
-    Inbound& inbound = inbound_[message.from];
-    const bool duplicate =
-        seq <= inbound.floor || inbound.above.count(seq) != 0;
-    if (duplicate) {
+    if (!inbound(message.from).record(seq)) {
       bump(&LinkStats::duplicates_suppressed);
       if (auto* sink = ctx.trace_sink()) {
         sink->on_event({obs::TraceEventType::kLinkDuplicate, ctx.now(),
@@ -177,21 +208,19 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
       }
       return true;
     }
-    inbound.above.insert(seq);
-    while (inbound.above.erase(inbound.floor + 1) != 0) ++inbound.floor;
 
     bump(&LinkStats::delivered);
     // Unpack in enqueue order: within one frame, per-sender FIFO is the
     // sender's queue order by construction.
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t inner_kind = reader.get_u32();
-      const std::string payload = reader.get_string();
+      std::vector<std::uint8_t> payload = reader.get_bytes();
       if (deliver_) {
         sim::Message inner;
         inner.from = message.from;
         inner.to = message.to;
         inner.kind = inner_kind;
-        inner.payload.assign(payload.begin(), payload.end());
+        inner.payload = std::move(payload);
         deliver_(ctx, inner);
       }
     }
@@ -210,10 +239,7 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
   ctx.send(message.from, kLinkAck, ack.take());
   bump(&LinkStats::acks_sent);
 
-  Inbound& inbound = inbound_[message.from];
-  const bool duplicate =
-      seq <= inbound.floor || inbound.above.count(seq) != 0;
-  if (duplicate) {
+  if (!inbound(message.from).record(seq)) {
     bump(&LinkStats::duplicates_suppressed);
     if (auto* sink = ctx.trace_sink()) {
       sink->on_event({obs::TraceEventType::kLinkDuplicate, ctx.now(), ctx.self(),
@@ -221,8 +247,6 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
     }
     return true;
   }
-  inbound.above.insert(seq);
-  while (inbound.above.erase(inbound.floor + 1) != 0) ++inbound.floor;
 
   bump(&LinkStats::delivered);
   if (deliver_) {
@@ -242,20 +266,18 @@ bool ReliableLink::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   if ((timer_id & kLinkFlushTimerBit) != 0) {
     const auto to = static_cast<sim::NodeId>(
         timer_id & ~(kLinkTimerTag | kLinkFlushTimerBit));
-    const auto it = coalesce_.find(to);
     // One timer per empty->nonempty transition; a size flush in between
     // makes this firing stale (the live queue armed a later deadline).
-    if (it != coalesce_.end() && !it->second.items.empty() &&
-        ctx.now() >= it->second.deadline) {
+    if (queued(to) != 0 && ctx.now() >= outbound_[to].coalesce.deadline) {
       flush_queue(ctx, to, /*trigger=*/1);
     }
     return true;
   }
   const std::uint64_t token = timer_id & ~kLinkTimerTag;
-  auto it = pending_.find(token);
-  if (it == pending_.end()) return true;  // acked since; stale timer
+  std::unique_ptr<Pending>* found = pending_.find(token);
+  if (found == nullptr) return true;  // acked since; stale timer
 
-  Pending& pending = it->second;
+  Pending& pending = **found;
   if (pending.attempts > options_.max_retransmits) {
     bump(&LinkStats::exhausted);
     if (auto* sink = ctx.trace_sink()) {
@@ -263,9 +285,7 @@ bool ReliableLink::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
                       pending.to, pending.kind, pending.seq, pending.attempts});
     }
     failed_.push_back({pending.to, pending.seq, pending.kind, pending.attempts});
-    token_by_dest_.erase({pending.to, pending.seq});
-    buffer_bytes_ -= pending.frame.size();
-    pending_.erase(it);
+    settle(token);
     return true;
   }
 

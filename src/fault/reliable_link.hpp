@@ -46,14 +46,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
 #include "sim/wire_kinds.hpp"
+#include "util/bytes.hpp"
 
 namespace mocc::fault {
 
@@ -132,7 +134,7 @@ class ReliableLink {
   /// Reliably sends (kind, payload) to `to`. Self-sends are forbidden —
   /// hosts short-circuit local work without touching the network.
   void send(sim::Context& ctx, sim::NodeId to, std::uint32_t kind,
-            std::vector<std::uint8_t> payload);
+            std::span<const std::uint8_t> payload);
 
   /// Consumes kLinkData / kLinkAck; returns false for foreign kinds.
   /// Data frames are acked and, if new, delivered via the deliver
@@ -153,7 +155,7 @@ class ReliableLink {
   std::size_t queued(sim::NodeId to) const;
 
   /// Sends still awaiting an ack (retry budget not yet exhausted).
-  std::size_t in_flight() const { return pending_.size(); }
+  std::size_t in_flight() const { return pending_.live(); }
   /// Bytes of encoded frames held for possible retransmission (running
   /// counter over pending_; feeds the link_retransmit_buffer_bytes gauge).
   std::uint64_t buffer_bytes() const { return buffer_bytes_; }
@@ -167,6 +169,51 @@ class ReliableLink {
   void set_shared_stats(LinkStats* shared) { shared_ = shared; }
 
  private:
+  /// Values under consecutive integer keys (link seqs, retransmit
+  /// tokens), handed out in order by push(). erase() settles a key, and
+  /// settled keys at the front are dropped, so find() is an index and
+  /// memory follows the span of unsettled keys.
+  template <typename T>
+  class KeyedWindow {
+   public:
+    explicit KeyedWindow(std::uint64_t first_key) : front_key_(first_key) {}
+    /// Stores `value` under the next key and returns that key.
+    std::uint64_t push(T value) {
+      slots_.emplace_back(std::move(value));
+      ++live_;
+      return front_key_ + (slots_.size() - head_) - 1;
+    }
+    /// The value under `key`, or null when it was settled or never pushed.
+    T* find(std::uint64_t key) {
+      if (key < front_key_ || key - front_key_ >= slots_.size() - head_) return nullptr;
+      std::optional<T>& slot = slots_[head_ + (key - front_key_)];
+      return slot ? &*slot : nullptr;
+    }
+    /// Settles a key that find() returns a value for.
+    void erase(std::uint64_t key) {
+      slots_[head_ + (key - front_key_)].reset();
+      --live_;
+      while (head_ < slots_.size() && !slots_[head_]) {
+        ++head_;
+        ++front_key_;
+      }
+      if (head_ == slots_.size()) {
+        slots_.clear();
+        head_ = 0;
+      } else if (head_ >= 64 && 2 * head_ >= slots_.size()) {
+        slots_.erase(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    std::size_t live() const { return live_; }
+
+   private:
+    std::vector<std::optional<T>> slots_;
+    std::size_t head_ = 0;  ///< slots_[head_] holds front_key_
+    std::uint64_t front_key_;
+    std::size_t live_ = 0;
+  };
+
   struct Pending {
     sim::NodeId to = 0;
     std::uint64_t seq = 0;
@@ -180,27 +227,37 @@ class ReliableLink {
     sim::SimTime last_sent = 0;        ///< retransmit span begin
   };
   /// Receiver-side dedup per sender: `floor` is the highest seq below
-  /// which everything has been seen; `above` holds out-of-order seqs
-  /// past the floor (compacted back into it as gaps fill).
+  /// which everything has been seen; `above` holds the out-of-order seqs
+  /// past the floor, ascending (folded into the floor as gaps fill). An
+  /// in-order frame touches only the floor.
   struct Inbound {
     std::uint64_t floor = 0;
-    std::set<std::uint64_t> above;
+    std::vector<std::uint64_t> above;
+    /// Records `seq`; false when it was seen before (a duplicate).
+    bool record(std::uint64_t seq);
+  };
+  /// Coalescing queue: items are encoded into `body` as they are sent
+  /// (u32 inner kind | length-prefixed payload each) and framed at flush.
+  /// The first item's context is the frame's carrier (docs/batching.md).
+  struct CoalesceQueue {
+    util::ByteWriter body;
+    std::uint32_t items = 0;
+    std::size_t payload_bytes = 0;
+    obs::SpanContext carrier;
+    sim::SimTime deadline = 0;  ///< age timers firing earlier are stale
+  };
+  /// Everything the link keeps per destination.
+  struct Outbound {
+    std::uint64_t last_seq = 0;  ///< link seqs count from 1
+    KeyedWindow<std::uint64_t> token_by_seq{1};  ///< unacked seq → token
+    CoalesceQueue coalesce;                      ///< batching on only
   };
 
   void bump(std::uint64_t LinkStats::* field);
-
-  /// One application message parked for coalescing. The first item's
-  /// context is the frame's carrier (docs/batching.md).
-  struct QueuedItem {
-    std::uint32_t kind = 0;
-    std::vector<std::uint8_t> payload;
-    obs::SpanContext trace;
-  };
-  struct CoalesceQueue {
-    std::vector<QueuedItem> items;
-    std::size_t payload_bytes = 0;
-    sim::SimTime deadline = 0;  ///< age timers firing earlier are stale
-  };
+  Outbound& outbound(sim::NodeId to);
+  Inbound& inbound(sim::NodeId from);
+  /// Drops the retransmit state of `token` (acked or exhausted).
+  void settle(std::uint64_t token);
 
   /// Registers `frame` (already encoded) as one reliably-delivered unit:
   /// assigns the next per-destination seq, transmits, arms the
@@ -212,12 +269,11 @@ class ReliableLink {
 
   Options options_;
   DeliverFn deliver_;
-  std::map<sim::NodeId, std::uint64_t> next_seq_;  ///< per destination, from 1
-  std::map<std::uint64_t, Pending> pending_;       ///< token → outbound
-  std::map<std::pair<sim::NodeId, std::uint64_t>, std::uint64_t> token_by_dest_;
-  std::uint64_t next_token_ = 0;
-  std::map<sim::NodeId, Inbound> inbound_;
-  std::map<sim::NodeId, CoalesceQueue> coalesce_;  ///< batching on only
+  std::vector<Outbound> outbound_;     ///< by destination, grown on demand
+  /// By retransmit token. Each entry is boxed, so a window held open by
+  /// one long-retransmitting frame costs a pointer per later frame.
+  KeyedWindow<std::unique_ptr<Pending>> pending_{0};
+  std::vector<Inbound> inbound_;       ///< by sender, grown on demand
   std::vector<FailedSend> failed_;
   LinkStats stats_;
   LinkStats* shared_ = nullptr;

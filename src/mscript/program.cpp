@@ -17,6 +17,9 @@ std::vector<ObjectId> sorted_unique(std::vector<ObjectId> v) {
 bool contains(const std::vector<ObjectId>& sorted, ObjectId x) {
   return std::binary_search(sorted.begin(), sorted.end(), x);
 }
+
+/// Encoded instruction: u8 op, a, b, c | u32 obj | u32 target | i64 imm.
+constexpr std::size_t kInstructionBytes = 4 + 4 + 4 + 8;
 }  // namespace
 
 Program::Program(std::vector<Instruction> code, std::uint8_t num_regs,
@@ -31,25 +34,37 @@ Program::Program(std::vector<Instruction> code, std::uint8_t num_regs,
 std::string Program::validate() const {
   if (code_.empty()) return "empty program";
   if (num_regs_ == 0) return "zero registers";
+  // The diagnostic is built only on the failing branch: a valid program
+  // validates without allocating.
+  const auto fail = [](std::size_t pc, OpCode op, const char* what) {
+    return std::string("instruction ")
+        .append(std::to_string(pc))
+        .append(" (")
+        .append(opcode_name(op))
+        .append("): ")
+        .append(what);
+  };
+  const auto reg_ok = [&](std::uint8_t r) { return r < num_regs_; };
   for (std::size_t pc = 0; pc < code_.size(); ++pc) {
     const Instruction& ins = code_[pc];
-    auto reg_ok = [&](std::uint8_t r) { return r < num_regs_; };
-    std::ostringstream err;
-    err << "instruction " << pc << " (" << opcode_name(ins.op) << "): ";
     switch (ins.op) {
       case OpCode::kLoadConst:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
+        if (!reg_ok(ins.a)) return fail(pc, ins.op, "bad register");
         break;
       case OpCode::kMove:
-        if (!reg_ok(ins.a) || !reg_ok(ins.b)) return err.str() + "bad register";
+        if (!reg_ok(ins.a) || !reg_ok(ins.b)) return fail(pc, ins.op, "bad register");
         break;
       case OpCode::kReadObj:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (!contains(may_read_, ins.obj)) return err.str() + "object not in may_read";
+        if (!reg_ok(ins.a)) return fail(pc, ins.op, "bad register");
+        if (!contains(may_read_, ins.obj)) {
+          return fail(pc, ins.op, "object not in may_read");
+        }
         break;
       case OpCode::kWriteObj:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (!contains(may_write_, ins.obj)) return err.str() + "object not in may_write";
+        if (!reg_ok(ins.a)) return fail(pc, ins.op, "bad register");
+        if (!contains(may_write_, ins.obj)) {
+          return fail(pc, ins.op, "object not in may_write");
+        }
         break;
       case OpCode::kAdd:
       case OpCode::kSub:
@@ -58,22 +73,26 @@ std::string Program::validate() const {
       case OpCode::kCmpLt:
       case OpCode::kCmpLe:
         if (!reg_ok(ins.a) || !reg_ok(ins.b) || !reg_ok(ins.c)) {
-          return err.str() + "bad register";
+          return fail(pc, ins.op, "bad register");
         }
         break;
       case OpCode::kJump:
-        if (ins.target >= code_.size()) return err.str() + "jump target out of range";
+        if (ins.target >= code_.size()) {
+          return fail(pc, ins.op, "jump target out of range");
+        }
         break;
       case OpCode::kJumpIfZero:
       case OpCode::kJumpIfNonZero:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (ins.target >= code_.size()) return err.str() + "jump target out of range";
+        if (!reg_ok(ins.a)) return fail(pc, ins.op, "bad register");
+        if (ins.target >= code_.size()) {
+          return fail(pc, ins.op, "jump target out of range");
+        }
         break;
       case OpCode::kReturn:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
+        if (!reg_ok(ins.a)) return fail(pc, ins.op, "bad register");
         break;
       default:
-        return err.str() + "unknown opcode";
+        return fail(pc, ins.op, "unknown opcode");
     }
   }
   // The last instruction must not fall off the end.
@@ -107,6 +126,8 @@ Program Program::decode(util::ByteReader& in) {
   std::vector<ObjectId> may_read = in.get_u32_vector();
   std::vector<ObjectId> may_write = in.get_u32_vector();
   const std::uint32_t count = in.get_u32();
+  // Bounds before allocation: a corrupt count must not reserve gigabytes.
+  MOCC_ASSERT_MSG(count <= in.remaining() / kInstructionBytes, "message underflow");
   std::vector<Instruction> code;
   code.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 #include "sim/wire_kinds.hpp"
 #include "util/assert.hpp"
@@ -64,12 +66,57 @@ Actor& Simulator::actor(NodeId id) {
   return *actors_[id];
 }
 
+void Simulator::enqueue(Event event) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(event));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(event);
+  }
+  queue_.push_back(QueueKey{slots_[slot].time, slots_[slot].seq, slot});
+  std::push_heap(queue_.begin(), queue_.end(), KeyAfter{});
+}
+
+Simulator::Event Simulator::dequeue() {
+  std::pop_heap(queue_.begin(), queue_.end(), KeyAfter{});
+  const std::uint32_t slot = queue_.back().slot;
+  queue_.pop_back();
+  free_slots_.push_back(slot);
+  return std::move(slots_[slot]);
+}
+
+void Simulator::count_traffic(std::uint32_t kind, std::size_t bytes) {
+  traffic_.messages += 1;
+  traffic_.bytes += bytes;
+  // A kind's map entries are created on its first send and cached; kinds
+  // outside the registered wire space (release builds do not assert
+  // registration) are counted through the maps directly.
+  constexpr std::uint32_t kKindSpaceEnd =
+      wire::kKindRanges[wire::kNumKindRanges - 1].last + 1;
+  if (kind >= kKindSpaceEnd) {
+    traffic_.messages_by_kind[kind] += 1;
+    traffic_.bytes_by_kind[kind] += bytes;
+    return;
+  }
+  if (kind >= kind_counters_.size()) kind_counters_.resize(kind + 1);
+  KindCounters& cached = kind_counters_[kind];
+  if (cached.messages == nullptr) {
+    cached.messages = &traffic_.messages_by_kind[kind];
+    cached.bytes = &traffic_.bytes_by_kind[kind];
+  }
+  *cached.messages += 1;
+  *cached.bytes += bytes;
+}
+
 void Simulator::schedule_call(SimTime time, std::function<void()> fn) {
   Event event;
   event.time = std::max(time, now_);
   event.seq = next_seq_++;
   event.call = std::move(fn);
-  queue_.push(std::move(event));
+  enqueue(std::move(event));
 }
 
 void Simulator::post(std::function<void()> fn) {
@@ -125,10 +172,7 @@ void Simulator::send(NodeId from, NodeId to, std::uint32_t kind,
 
   // Traffic counts what the sender emitted — dropped and duplicated
   // copies are the network's doing and are tallied by the fault plan.
-  traffic_.messages += 1;
-  traffic_.bytes += bytes;
-  traffic_.messages_by_kind[kind] += 1;
-  traffic_.bytes_by_kind[kind] += bytes;
+  count_traffic(kind, bytes);
 
   if (trace_ != nullptr) {
     trace_->on_event({obs::TraceEventType::kMessageSend, now_, from, to, kind, 0,
@@ -184,7 +228,7 @@ void Simulator::send(NodeId from, NodeId to, std::uint32_t kind,
                             copy + 1 == copies ? std::move(payload)
                                                : std::vector<std::uint8_t>(payload),
                             current_trace_, now_};
-    queue_.push(std::move(event));
+    enqueue(std::move(event));
   }
 }
 
@@ -196,7 +240,7 @@ void Simulator::set_timer(NodeId node, SimTime delay, std::uint64_t timer_id) {
   event.timer_node = node;
   event.timer_id = timer_id;
   event.timer_trace = current_trace_;
-  queue_.push(std::move(event));
+  enqueue(std::move(event));
 }
 
 void Simulator::dispatch(const Event& event) {
@@ -282,7 +326,7 @@ SimTime Simulator::run(SimTime max_time) {
     }
     // Check the deadline BEFORE popping so a paused run can resume
     // without losing the event at the horizon.
-    if (max_time != 0 && queue_.top().time > max_time) {
+    if (max_time != 0 && queue_.front().time > max_time) {
       now_ = max_time;
       return now_;
     }
@@ -290,13 +334,12 @@ SimTime Simulator::run(SimTime max_time) {
     // about to cross. Piggybacking on the event loop (instead of a
     // self-rescheduling timer) keeps quiescence detection intact.
     if (backlog_interval_ != 0) {
-      while (next_backlog_ <= queue_.top().time) {
+      while (next_backlog_ <= queue_.front().time) {
         backlog_probe_(next_backlog_);
         next_backlog_ += backlog_interval_;
       }
     }
-    Event event = queue_.top();
-    queue_.pop();
+    const Event event = dequeue();
     MOCC_ASSERT_MSG(event.time >= now_, "time went backwards");
     // Deterministic tie-break: pops are lexicographically increasing in
     // (time, seq) — equal-time events dispatch in send order. mocc-check

@@ -12,6 +12,13 @@
 // on_timer for self-scheduled wakeups. All execution is single-threaded
 // and deterministic given the seed; ties in delivery time break by event
 // sequence number.
+//
+// Event queue: a binary min-heap of (time, seq, slot) keys over a pool of
+// event bodies. Heap sifts move only the 24-byte keys; a dispatched event
+// is moved (never copied) out of its slot, and the slot is reused by the
+// next event scheduled, including events scheduled from inside that
+// dispatch. (time, seq) is unique per event, so the dispatch order is
+// exactly the lexicographic (time, seq) order.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -289,13 +295,31 @@ class Simulator {
     obs::SpanContext timer_trace;  // context captured at set_timer
     std::function<void()> call;  // external injection when set
   };
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
+  /// Heap entry: the event's (time, seq) order key and the pool slot
+  /// holding its body. Heap sifts move these 24 bytes, never an Event.
+  struct QueueKey {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  struct KeyAfter {
+    bool operator()(const QueueKey& a, const QueueKey& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
+  /// Per-kind traffic counters: pointers into the TrafficStats maps (map
+  /// nodes never move), so a send of a seen kind does no map lookup.
+  struct KindCounters {
+    std::uint64_t* messages = nullptr;
+    std::uint64_t* bytes = nullptr;
+  };
 
+  /// Parks `event` in a free pool slot and pushes its key on the heap.
+  void enqueue(Event event);
+  /// Pops the earliest key and moves its event out of the pool.
+  Event dequeue();
+  void count_traffic(std::uint32_t kind, std::size_t bytes);
   void dispatch(const Event& event);
   /// Controlled mode: surfaces held_messages_ to the controller and
   /// dispatches the chosen delivery at now_ + 1. Returns false when the
@@ -314,12 +338,17 @@ class Simulator {
   std::unique_ptr<DelayModel> delay_;
   util::Rng rng_;
   std::vector<std::unique_ptr<Actor>> actors_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  /// The event queue (file comment): a min-heap of keys over `slots_`;
+  /// `free_slots_` lists the slots a dequeue emptied.
+  std::vector<QueueKey> queue_;
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool started_ = false;
   bool stop_requested_ = false;
   TrafficStats traffic_;
+  std::vector<KindCounters> kind_counters_;  ///< indexed by wire kind
   obs::TraceSink* trace_ = nullptr;
   FaultInjector* faults_ = nullptr;
   ScheduleController* controller_ = nullptr;

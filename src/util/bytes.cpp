@@ -1,93 +1,81 @@
 #include "util/bytes.hpp"
 
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace mocc::util {
 
-void ByteWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
+// Fixed-width fields are copied as their in-memory bytes; that is the
+// little-endian wire layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies fixed-width fields in host byte order");
 
 void ByteWriter::put_string(std::string_view s) {
   put_u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  append(s.data(), s.size());
+}
+
+void ByteWriter::put_bytes(std::span<const std::uint8_t> bytes) {
+  put_u32(static_cast<std::uint32_t>(bytes.size()));
+  append(bytes.data(), bytes.size());
+}
+
+void ByteWriter::put_raw(std::span<const std::uint8_t> bytes) {
+  append(bytes.data(), bytes.size());
 }
 
 void ByteWriter::put_u64_vector(const std::vector<std::uint64_t>& v) {
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_u64(x);
+  append(v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void ByteWriter::put_i64_vector(const std::vector<std::int64_t>& v) {
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_i64(x);
+  append(v.data(), v.size() * sizeof(std::int64_t));
 }
 
 void ByteWriter::put_u32_vector(const std::vector<std::uint32_t>& v) {
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_u32(x);
+  append(v.data(), v.size() * sizeof(std::uint32_t));
 }
 
-std::uint8_t ByteReader::get_u8() {
-  MOCC_ASSERT_MSG(pos_ + 1 <= buf_.size(), "message underflow");
-  return buf_[pos_++];
+std::uint32_t ByteReader::get_count(std::size_t width) {
+  const auto count = get_fixed<std::uint32_t>();
+  MOCC_ASSERT_MSG(count <= remaining() / width, "message underflow");
+  return count;
 }
 
-std::uint32_t ByteReader::get_u32() {
-  MOCC_ASSERT_MSG(pos_ + 4 <= buf_.size(), "message underflow");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
+template <typename T>
+std::vector<T> ByteReader::get_vector() {
+  const std::uint32_t count = get_count(sizeof(T));
+  std::vector<T> v(count);
+  if (count != 0) std::memcpy(v.data(), take(count * sizeof(T)), count * sizeof(T));
   return v;
 }
-
-std::uint64_t ByteReader::get_u64() {
-  MOCC_ASSERT_MSG(pos_ + 8 <= buf_.size(), "message underflow");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::int64_t ByteReader::get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
 std::string ByteReader::get_string() {
-  const std::uint32_t len = get_u32();
-  MOCC_ASSERT_MSG(pos_ + len <= buf_.size(), "message underflow");
-  std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return s;
+  const std::uint32_t len = get_count(1);
+  const std::uint8_t* at = take(len);
+  return std::string(at, at + len);
+}
+
+std::vector<std::uint8_t> ByteReader::get_bytes() {
+  const std::uint32_t len = get_count(1);
+  const std::uint8_t* at = take(len);
+  return std::vector<std::uint8_t>(at, at + len);
 }
 
 std::vector<std::uint64_t> ByteReader::get_u64_vector() {
-  const std::uint32_t len = get_u32();
-  std::vector<std::uint64_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u64());
-  return v;
+  return get_vector<std::uint64_t>();
 }
 
 std::vector<std::int64_t> ByteReader::get_i64_vector() {
-  const std::uint32_t len = get_u32();
-  std::vector<std::int64_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_i64());
-  return v;
+  return get_vector<std::int64_t>();
 }
 
 std::vector<std::uint32_t> ByteReader::get_u32_vector() {
-  const std::uint32_t len = get_u32();
-  std::vector<std::uint32_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u32());
-  return v;
+  return get_vector<std::uint32_t>();
 }
 
 }  // namespace mocc::util

@@ -107,6 +107,84 @@ TEST(Validate, RejectsEmptyProgram) {
   EXPECT_FALSE(p.validate().empty());
 }
 
+Instruction make_ins(OpCode op, std::uint8_t a = 0, std::uint8_t b = 0,
+                     std::uint8_t c = 0, ObjectId obj = 0, std::uint32_t target = 0) {
+  Instruction ins;
+  ins.op = op;
+  ins.a = a;
+  ins.b = b;
+  ins.c = c;
+  ins.obj = obj;
+  ins.target = target;
+  return ins;
+}
+
+// Pins every validate() diagnostic byte for byte: one case per failure
+// branch, each with the failing instruction's pc and opcode name.
+TEST(Validate, DiagnosticsAreExact) {
+  const Instruction ret = make_ins(OpCode::kReturn);
+  struct Case {
+    std::vector<Instruction> code;
+    std::uint8_t regs;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {{}, 1, "empty program"},
+      {{ret}, 0, "zero registers"},
+      {{make_ins(OpCode::kLoadConst, 2), ret}, 2, "instruction 0 (const): bad register"},
+      {{make_ins(OpCode::kMove, 0, 3), ret}, 2, "instruction 0 (move): bad register"},
+      {{make_ins(OpCode::kMove, 3, 0), ret}, 2, "instruction 0 (move): bad register"},
+      {{ret, make_ins(OpCode::kReadObj, 9, 0, 0, 1), ret}, 2,
+       "instruction 1 (read): bad register"},
+      {{make_ins(OpCode::kReadObj, 0, 0, 0, 7), ret}, 2,
+       "instruction 0 (read): object not in may_read"},
+      {{make_ins(OpCode::kReadObj, 0, 0, 0, 2), ret}, 2,
+       "instruction 0 (read): object not in may_read"},
+      {{make_ins(OpCode::kWriteObj, 2, 0, 0, 1), ret}, 2,
+       "instruction 0 (write): bad register"},
+      {{ret, ret, make_ins(OpCode::kWriteObj, 0, 0, 0, 1), ret}, 2,
+       "instruction 2 (write): object not in may_write"},
+      {{make_ins(OpCode::kAdd, 0, 0, 2), ret}, 2, "instruction 0 (add): bad register"},
+      {{make_ins(OpCode::kSub, 0, 2, 0), ret}, 2, "instruction 0 (sub): bad register"},
+      {{make_ins(OpCode::kMul, 2, 0, 0), ret}, 2, "instruction 0 (mul): bad register"},
+      {{make_ins(OpCode::kCmpEq, 0, 0, 5), ret}, 2, "instruction 0 (cmpeq): bad register"},
+      {{make_ins(OpCode::kCmpLt, 0, 0, 5), ret}, 2, "instruction 0 (cmplt): bad register"},
+      {{make_ins(OpCode::kCmpLe, 0, 0, 5), ret}, 2, "instruction 0 (cmple): bad register"},
+      {{make_ins(OpCode::kJump, 0, 0, 0, 0, 2), ret}, 2,
+       "instruction 0 (jump): jump target out of range"},
+      {{make_ins(OpCode::kJumpIfZero, 4, 0, 0, 0, 1), ret}, 2,
+       "instruction 0 (jz): bad register"},
+      {{make_ins(OpCode::kJumpIfZero, 0, 0, 0, 0, 2), ret}, 2,
+       "instruction 0 (jz): jump target out of range"},
+      {{make_ins(OpCode::kJumpIfNonZero, 4, 0, 0, 0, 1), ret}, 2,
+       "instruction 0 (jnz): bad register"},
+      {{make_ins(OpCode::kJumpIfNonZero, 0, 0, 0, 0, 7), ret}, 2,
+       "instruction 0 (jnz): jump target out of range"},
+      {{make_ins(OpCode::kReturn, 2)}, 2, "instruction 0 (return): bad register"},
+      {{make_ins(static_cast<OpCode>(99)), ret}, 2, "instruction 0 (?): unknown opcode"},
+      {{make_ins(OpCode::kLoadConst)}, 2,
+       "program can fall off the end (last instruction must be return or jump)"},
+      {{ret, make_ins(OpCode::kMove)}, 2,
+       "program can fall off the end (last instruction must be return or jump)"},
+  };
+  for (const Case& c : cases) {
+    const Program p(c.code, c.regs, /*may_read=*/{1}, /*may_write=*/{3}, "bad");
+    EXPECT_EQ(p.validate(), c.expected);
+  }
+  // Multi-digit program counters print in decimal.
+  std::vector<Instruction> long_code(12, make_ins(OpCode::kLoadConst));
+  long_code.push_back(make_ins(OpCode::kJump, 0, 0, 0, 0, 40));
+  EXPECT_EQ(Program(long_code, 1, {}, {}, "bad").validate(),
+            "instruction 12 (jump): jump target out of range");
+  // The first failing instruction wins.
+  EXPECT_EQ(Program({make_ins(OpCode::kMove, 0, 9), make_ins(OpCode::kReturn, 9)}, 1, {},
+                    {}, "bad")
+                .validate(),
+            "instruction 0 (move): bad register");
+  // A jump may end the program; a valid program validates to "".
+  EXPECT_EQ(Program({make_ins(OpCode::kJump)}, 1, {}, {}, "loop").validate(), "");
+}
+
 // ---------------------------------------------------------------- codec
 
 TEST(Codec, RoundTripPreservesProgram) {
@@ -141,6 +219,28 @@ TEST(Codec, RoundTripAllLibraryPrograms) {
     EXPECT_TRUE(Program::decode(r) == p) << p.name();
   }
 }
+
+#if GTEST_HAS_DEATH_TEST
+TEST(CodecDeath, CorruptInstructionCountAbortsBeforeAllocating) {
+  util::ByteWriter w;
+  w.put_string("p");
+  w.put_u8(1);
+  w.put_u32_vector({});
+  w.put_u32_vector({});
+  w.put_u32(0xFFFFFFFF);  // instruction count far past the frame
+  util::ByteReader r(w.bytes());
+  EXPECT_DEATH((void)Program::decode(r), "message underflow");
+}
+
+TEST(CodecDeath, DecodedInvalidProgramAborts) {
+  Instruction ins;
+  ins.op = OpCode::kLoadConst;  // falls off the end
+  util::ByteWriter w;
+  Program({ins}, 1, {}, {}, "bad").encode(w);
+  util::ByteReader r(w.bytes());
+  EXPECT_DEATH((void)Program::decode(r), "decoded program failed validation");
+}
+#endif  // GTEST_HAS_DEATH_TEST
 
 // ------------------------------------------------------------------- vm
 

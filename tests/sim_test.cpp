@@ -2,12 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "api/system.hpp"
+#include "core/serialize.hpp"
 #include "sim/delay.hpp"
 #include "sim/simulator.hpp"
 #include "sim/wire_kinds.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace mocc::sim {
 namespace {
@@ -265,6 +270,188 @@ TEST(Delay, FactoryKnowsAllNames) {
        {"constant", "lan", "wan", "uniform", "reorder", "exponential"}) {
     EXPECT_NE(make_delay_model(name), nullptr) << name;
   }
+}
+
+// ------------------------------------------------------ event order oracle
+
+/// Mirrors the simulator's scheduling: every send, timer and scheduled
+/// call gets the next stamp (the order the simulator assigns its seq in)
+/// and the virtual time it must fire at, kept in a reference ordered set.
+/// Each dispatch must be the smallest (time, stamp) still pending.
+struct OrderOracle {
+  static constexpr SimTime kDelay = 3;
+  Simulator* sim = nullptr;
+  util::Rng rng{11};
+  std::uint64_t next_stamp = 0;
+  std::size_t budget = 3000;  ///< events still allowed to be scheduled
+  std::set<std::pair<SimTime, std::uint64_t>> pending;
+  std::vector<std::pair<SimTime, std::uint64_t>> dispatched;
+  std::size_t mismatches = 0;
+
+  std::uint64_t stamp(SimTime at) {
+    pending.emplace(at, next_stamp);
+    return next_stamp++;
+  }
+  void send(Context& ctx, NodeId to) {
+    util::ByteWriter w;
+    w.put_u64(stamp(ctx.now() + kDelay));
+    ctx.send(to, /*kind=*/9, w.take());
+  }
+  void timer(Context& ctx, SimTime delay) {
+    const std::uint64_t id = stamp(ctx.now() + std::max<SimTime>(1, delay));
+    ctx.set_timer(delay, id);
+  }
+  void call(SimTime at) {
+    const std::uint64_t id = stamp(std::max(at, sim->now()));
+    sim->schedule_call(at, [this, id] { fired(id); });
+  }
+  void fired(std::uint64_t id) {
+    const std::pair<SimTime, std::uint64_t> got{sim->now(), id};
+    if (pending.empty() || *pending.begin() != got) ++mismatches;
+    pending.erase(got);
+    dispatched.push_back(got);
+    react();
+  }
+  /// Schedules 0-3 follow-ups from inside the dispatch (so freed queue
+  /// slots are reused), mixing kinds and equal and unequal times.
+  void react() {
+    const auto follow_ups = static_cast<std::size_t>(rng.next_below(4));
+    for (std::size_t i = 0; i < follow_ups && budget > 0; ++i, --budget) {
+      switch (rng.next_below(5)) {
+        case 0:
+          call(sim->now());  // same instant, after everything already due
+          break;
+        case 1:
+          call(sim->now() + kDelay);  // ties with this instant's sends
+          break;
+        case 2:
+          call(sim->now() - std::min<SimTime>(sim->now(), 2));  // clamped
+          break;
+        default:
+          pending_actions.push_back(rng.next_below(3));
+          break;
+      }
+    }
+  }
+  /// Actor-side follow-ups: 0 = send to the peer, 1 = timer tying with a
+  /// send, 2 = one-tick timer.
+  std::vector<std::uint64_t> pending_actions;
+};
+
+class OracleActor final : public Actor {
+ public:
+  explicit OracleActor(OrderOracle& oracle) : oracle_(oracle) {}
+  void on_start(Context& ctx) override {
+    for (int i = 0; i < 4; ++i) {
+      oracle_.send(ctx, peer(ctx));
+      oracle_.timer(ctx, OrderOracle::kDelay);
+      oracle_.timer(ctx, 0);
+    }
+  }
+  void on_message(Context& ctx, const Message& message) override {
+    util::ByteReader r(message.payload);
+    oracle_.fired(r.get_u64());
+    act(ctx);
+  }
+  void on_timer(Context& ctx, std::uint64_t timer_id) override {
+    oracle_.fired(timer_id);
+    act(ctx);
+  }
+
+ private:
+  static NodeId peer(const Context& ctx) { return ctx.self() == 0 ? 1 : 0; }
+  void act(Context& ctx) {
+    std::vector<std::uint64_t> actions;
+    actions.swap(oracle_.pending_actions);
+    for (const std::uint64_t action : actions) {
+      if (action == 0) oracle_.send(ctx, peer(ctx));
+      if (action == 1) oracle_.timer(ctx, OrderOracle::kDelay);
+      if (action == 2) oracle_.timer(ctx, 1);
+    }
+  }
+  OrderOracle& oracle_;
+};
+
+TEST(Simulator, DispatchOrderIsStrictTimeThenSeq) {
+  OrderOracle oracle;
+  Simulator sim(std::make_unique<ConstantDelay>(OrderOracle::kDelay), 1);
+  oracle.sim = &sim;
+  sim.add_node(std::make_unique<OracleActor>(oracle));
+  sim.add_node(std::make_unique<OracleActor>(oracle));
+  for (SimTime t : {0, 3, 3, 6, 1}) oracle.call(t);
+  sim.run();
+
+  EXPECT_EQ(oracle.mismatches, 0u);
+  EXPECT_TRUE(oracle.pending.empty());
+  EXPECT_EQ(sim.queue_depth(), 0u);
+  EXPECT_EQ(oracle.dispatched.size(), oracle.next_stamp);
+  EXPECT_EQ(oracle.budget, 0u);  // the run went deep enough to reuse slots
+  for (std::size_t i = 1; i < oracle.dispatched.size(); ++i) {
+    EXPECT_LT(oracle.dispatched[i - 1], oracle.dispatched[i]) << "dispatch " << i;
+  }
+  // Equal-time groups of every kind were exercised.
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < oracle.dispatched.size(); ++i) {
+    ties += oracle.dispatched[i - 1].first == oracle.dispatched[i].first ? 1 : 0;
+  }
+  EXPECT_GT(ties, oracle.dispatched.size() / 2);
+}
+
+/// One lossy mlin run: reliable link on, drops and duplicates injected.
+struct LossyRun {
+  TrafficStats traffic;
+  fault::LinkStats link;
+  std::string history;
+};
+
+LossyRun run_lossy_mlin(std::uint64_t seed) {
+  api::SystemConfig config;
+  config.protocol = "mlin";
+  config.num_processes = 5;
+  config.num_objects = 16;
+  config.delay = "lan";
+  config.seed = seed;
+  config.reliable_link = true;
+  config.link.initial_rto = 40;
+  config.faults.seed = seed ^ 0xfa17;
+  config.faults.default_link.drop_rate = 0.1;
+  config.faults.default_link.duplicate_rate = 0.1;
+  api::System system(config);
+  protocols::WorkloadParams params;
+  params.ops_per_process = 40;
+  params.update_ratio = 0.7;
+  params.footprint = 2;
+  const protocols::WorkloadReport report = system.run_workload(params);
+  EXPECT_EQ(report.queries + report.updates, 200u);
+  return LossyRun{system.traffic(), system.link_stats(),
+                  core::serialize_history(system.history())};
+}
+
+TEST(Simulator, LossyReliableLinkRunIsDeterministic) {
+  const LossyRun a = run_lossy_mlin(5);
+  const LossyRun b = run_lossy_mlin(5);
+  EXPECT_EQ(a.traffic.messages, b.traffic.messages);
+  EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
+  EXPECT_EQ(a.traffic.messages_by_kind, b.traffic.messages_by_kind);
+  EXPECT_EQ(a.traffic.bytes_by_kind, b.traffic.bytes_by_kind);
+  EXPECT_EQ(a.link.data_sent, b.link.data_sent);
+  EXPECT_EQ(a.link.retransmits, b.link.retransmits);
+  EXPECT_EQ(a.link.acks_sent, b.link.acks_sent);
+  EXPECT_EQ(a.link.delivered, b.link.delivered);
+  EXPECT_EQ(a.link.duplicates_suppressed, b.link.duplicates_suppressed);
+  EXPECT_EQ(a.link.exhausted, b.link.exhausted);
+  EXPECT_EQ(a.history, b.history);
+  // The faults really fired: the link retransmitted and deduplicated.
+  EXPECT_GT(a.link.retransmits, 0u);
+  EXPECT_GT(a.link.duplicates_suppressed, 0u);
+  EXPECT_EQ(a.link.exhausted, 0u);
+  // Per-kind tallies add up to the totals.
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  for (const auto& [kind, count] : a.traffic.messages_by_kind) messages += count;
+  for (const auto& [kind, count] : a.traffic.bytes_by_kind) bytes += count;
+  EXPECT_EQ(messages, a.traffic.messages);
+  EXPECT_EQ(bytes, a.traffic.bytes);
 }
 
 TEST(DelayDeath, FactoryRejectsUnknown) {

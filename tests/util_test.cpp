@@ -689,6 +689,87 @@ TEST(Bytes, EmptyString) {
   EXPECT_EQ(r.get_string(), "");
 }
 
+using Wire = std::vector<std::uint8_t>;
+
+// Pins the exact wire bytes of every writer: little-endian fixed width,
+// u32 length prefixes, empty and one-element containers included.
+TEST(Bytes, WireLayoutIsLittleEndianFixedWidth) {
+  const auto bytes_of = [](auto&& write) {
+    ByteWriter w;
+    write(w);
+    return w.bytes();
+  };
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u8(0xA5); }), (Wire{0xA5}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u32(0x01020304); }),
+            (Wire{0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u64(0x0102030405060708ULL); }),
+            (Wire{0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_i64(-2); }),
+            (Wire{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_string(""); }), (Wire{0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_string("ab"); }),
+            (Wire{2, 0, 0, 0, 'a', 'b'}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_bytes(Wire{}); }), (Wire{0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_bytes(Wire{0xAB}); }),
+            (Wire{1, 0, 0, 0, 0xAB}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_raw(Wire{}); }), Wire{});
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_raw(Wire{1, 2}); }), (Wire{1, 2}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u32_vector({}); }), (Wire{0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u32_vector({0x0A0B0C0D}); }),
+            (Wire{1, 0, 0, 0, 0x0D, 0x0C, 0x0B, 0x0A}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u32_vector({1, 0x100}); }),
+            (Wire{2, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u64_vector({}); }), (Wire{0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_u64_vector({0x0102030405060708ULL}); }),
+            (Wire{1, 0, 0, 0, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_i64_vector({}); }), (Wire{0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](ByteWriter& w) { w.put_i64_vector({-1}); }),
+            (Wire{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  // Fields concatenate with no padding or alignment.
+  EXPECT_EQ(bytes_of([](ByteWriter& w) {
+              w.put_u8(1);
+              w.put_u32(2);
+              w.put_u8(3);
+            }),
+            (Wire{1, 2, 0, 0, 0, 3}));
+}
+
+TEST(Bytes, BytesFieldSharesTheStringLayout) {
+  ByteWriter w;
+  w.put_bytes(Wire{'h', 'i'});
+  w.put_string("hi");
+  w.put_bytes(Wire{});
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.get_string(), "hi");
+  EXPECT_EQ(r.get_bytes(), (Wire{'h', 'i'}));
+  EXPECT_TRUE(r.get_bytes().empty());
+  EXPECT_TRUE(r.exhausted());
+}
+
+#if GTEST_HAS_DEATH_TEST
+// A corrupt length prefix is checked against the bytes left before
+// anything is allocated for it: 0xFFFFFFFF elements must abort with the
+// underflow diagnostic, not request up to 32 GB first.
+TEST(BytesDeath, CorruptLengthPrefixAbortsBeforeAllocating) {
+  const Wire corrupt{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_DEATH((void)ByteReader(corrupt).get_u64_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_i64_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_u32_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_string(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_bytes(), "message underflow");
+}
+
+TEST(BytesDeath, TruncatedFieldsAbort) {
+  const Wire three{1, 2, 3};
+  EXPECT_DEATH((void)ByteReader(three).get_u32(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(three).get_u64(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(Wire{}).get_u8(), "message underflow");
+  // One element short: a length of 2 u32s over 4 bytes of body.
+  const Wire short_body{2, 0, 0, 0, 1, 0, 0, 0};
+  EXPECT_DEATH((void)ByteReader(short_body).get_u32_vector(), "message underflow");
+}
+#endif  // GTEST_HAS_DEATH_TEST
+
 // ------------------------------------------------------------------ cli
 
 TEST(Cli, ParsesEqualsAndSpaceForms) {

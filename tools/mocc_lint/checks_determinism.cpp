@@ -62,19 +62,21 @@ void check_determinism(const Config& config, const SourceFile& file,
 
     if (contains(kBannedAnywhere, tok.text)) {
       emit(tok.offset,
-           "'" + std::string(tok.text) +
-               "' in the deterministic subtree (wall clock / ambient "
-               "randomness breaks byte-identical reruns; use the run's "
-               "seeded util::Rng and virtual time)");
+           std::string("'")
+               .append(tok.text)
+               .append("' in the deterministic subtree (wall clock / ambient "
+                       "randomness breaks byte-identical reruns; use the run's "
+                       "seeded util::Rng and virtual time)"));
       continue;
     }
 
     if (contains(kUnordered, tok.text)) {
       emit(tok.offset,
-           "'" + std::string(tok.text) +
-               "' in the deterministic subtree (iteration order is "
-               "implementation-defined; use std::map/std::set, sort at "
-               "the boundary, or justify with an inline allow)");
+           std::string("'")
+               .append(tok.text)
+               .append("' in the deterministic subtree (iteration order is "
+                       "implementation-defined; use std::map/std::set, sort at "
+                       "the boundary, or justify with an inline allow)"));
       continue;
     }
 

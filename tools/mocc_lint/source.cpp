@@ -100,7 +100,7 @@ void SourceFile::mask() {
       std::size_t delim_end = i + 2;
       while (delim_end < t.size() && t[delim_end] != '(') ++delim_end;
       const std::string closer =
-          ")" + t.substr(i + 2, delim_end - (i + 2)) + "\"";
+          std::string(")").append(t, i + 2, delim_end - (i + 2)).append("\"");
       std::size_t end = t.find(closer, delim_end);
       end = end == std::string::npos ? t.size() : end + closer.size();
       literals_.push_back(
