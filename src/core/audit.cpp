@@ -3,8 +3,7 @@
 #include <cstdint>
 #include <sstream>
 
-#include "core/constraints.hpp"
-#include "core/legality.hpp"
+#include "core/relations.hpp"
 #include "util/assert.hpp"
 
 namespace mocc::core {
@@ -23,18 +22,25 @@ std::string AuditReport::to_string() const {
 }
 
 AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trace) {
+  return audit_closed(h, trace, close_and_scan(h, trace.sync_order, Constraint::kWW));
+}
+
+AuditReport audit_closed(const History& h, const ProtocolTrace& trace,
+                         const ClosedOrder& scanned) {
   AuditReport report;
   const std::size_t n = h.size();
   MOCC_ASSERT(trace.sync_order.size() == n);
   MOCC_ASSERT(trace.timestamps.size() == n);
   MOCC_ASSERT(trace.is_update.size() == n);
+  MOCC_ASSERT(scanned.order.size() == n);
+  MOCC_ASSERT_MSG(scanned.constraint == Constraint::kWW,
+                  "the audit derives the WW-constraint (Lemma 8)");
 
-  const util::BitRelation closed = trace.sync_order.transitive_closure();
-
-  if (!closed.closed_is_irreflexive()) {
+  if (!scanned.acyclic) {
     report.fail("sync order ~>H- is cyclic");
     return report;
   }
+  const util::BitRelation& closed = scanned.order;
 
   auto ts = [&](MOpId id) -> const util::VersionVector& { return trace.timestamps[id]; };
 
@@ -42,31 +48,47 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
   // (resp(β) < inv(α)). We check the closed consequence the lemma needs:
   // two queries ordered by the closure must be real-time ordered — on a
   // recorded execution this is checkable directly from the time stamps.
+  // The violators of query β are the queries in its sync row that are
+  // not in its ~t row: one AND-NOT of words per query.
   const std::size_t words = closed.words_per_row();
-  for (MOpId b = 0; b < n; ++b) {
-    if (trace.is_update[b]) continue;
-    util::for_each_bit(trace.sync_order.row_words(b), words, [&](std::size_t a) {
-      if (a == b || trace.is_update[a]) return;
-      if (!(h.mop(b).response() < h.mop(static_cast<MOpId>(a)).invoke())) {
-        std::ostringstream out;
-        out << "P5.1: queries m" << b << " ~> m" << a
-            << " ordered without real-time precedence";
-        report.fail(out.str());
-      }
-    });
-  }
-
-  // P5.2: any two (conservatively classified) updates are ordered.
+  std::vector<std::uint64_t> queries(words, 0);
   std::vector<std::uint64_t> updates(words, 0);
   for (MOpId a = 0; a < n; ++a) {
-    if (trace.is_update[a]) updates[a / 64] |= std::uint64_t{1} << (a % 64);
+    (trace.is_update[a] ? updates : queries)[a / 64] |= std::uint64_t{1} << (a % 64);
   }
-  util::for_each_unordered_pair(closed, updates, [&](std::size_t a, std::size_t b) {
-    std::ostringstream out;
-    out << "P5.2: updates m" << a << ", m" << b << " unordered";
-    report.fail(out.str());
-    return true;
-  });
+  const util::BitRelation real_time = real_time_order(h);
+  for (MOpId b = 0; b < n; ++b) {
+    if (trace.is_update[b]) continue;
+    const std::uint64_t* sync = trace.sync_order.row_words(b);
+    const std::uint64_t* after = real_time.row_words(b);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t unordered = sync[w] & queries[w] & ~after[w];
+      if (w == b / 64) unordered &= ~(std::uint64_t{1} << (b % 64));
+      util::for_each_bit(&unordered, 1, [&](std::size_t bit) {
+        std::ostringstream out;
+        out << "P5.1: queries m" << b << " ~> m" << w * 64 + bit
+            << " ordered without real-time precedence";
+        report.fail(out.str());
+      });
+    }
+  }
+
+  // P5.2: any two (conservatively classified) updates are ordered. When
+  // that classification is the recorded one (an update is an m-operation
+  // that writes), the WW-constraint scan already looked for the first
+  // such pair, so only a failing scan needs the pass that lists them all.
+  bool classified_by_writes = true;
+  for (MOpId a = 0; a < n && classified_by_writes; ++a) {
+    classified_by_writes = trace.is_update[a] == h.mop(a).is_update();
+  }
+  if (!classified_by_writes || scanned.constraint_violation.has_value()) {
+    util::for_each_unordered_pair(closed, updates, [&](std::size_t a, std::size_t b) {
+      std::ostringstream out;
+      out << "P5.2: updates m" << a << ", m" << b << " unordered";
+      report.fail(out.str());
+      return true;
+    });
+  }
 
   // P5.3 / P5.4 on the closed relation (P5.5/P5.6 in the paper): ts is
   // monotonic along ~>H and strictly increases on written components. They
@@ -149,11 +171,11 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
   }
 
   // Derived guarantees: Lemma 8 (WW-constraint) and Lemma 9 (legality).
-  if (auto violation = find_constraint_violation(h, closed, Constraint::kWW)) {
-    report.fail("Lemma 8 consequence failed: " + violation->to_string());
+  if (scanned.constraint_violation.has_value()) {
+    report.fail("Lemma 8 consequence failed: " + scanned.constraint_violation->to_string());
   }
-  if (auto violation = find_legality_violation(h, closed)) {
-    report.fail("Lemma 9 consequence failed: " + violation->to_string());
+  if (scanned.legality_violation.has_value()) {
+    report.fail("Lemma 9 consequence failed: " + scanned.legality_violation->to_string());
   }
 
   return report;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fast_check.hpp"
 #include "core/history.hpp"
 #include "util/relation.hpp"
 #include "util/timestamp.hpp"
@@ -55,5 +56,12 @@ struct AuditReport {
 /// edge. When an edge fails, the all-pairs pass runs to list every
 /// violating pair, so the report is the same either way.
 AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trace);
+
+/// audit_protocol_execution with `trace.sync_order` already closed and
+/// scanned for the WW-constraint by close_and_scan: the Lemma 8 and 9
+/// lines come from `closed`'s two scans. A caller whose Theorem-7 fast
+/// check closes the same relation shares one ClosedOrder between both.
+AuditReport audit_closed(const History& h, const ProtocolTrace& trace,
+                         const ClosedOrder& closed);
 
 }  // namespace mocc::core

@@ -1,31 +1,45 @@
 #include "core/fast_check.hpp"
 
-#include "core/legality.hpp"
 #include "util/assert.hpp"
 
 namespace mocc::core {
 
+ClosedOrder close_and_scan(const History& h, const util::BitRelation& base,
+                           Constraint constraint) {
+  ClosedOrder closed;
+  closed.order = base.transitive_closure();
+  closed.constraint = constraint;
+  closed.acyclic = closed.order.closed_is_irreflexive();
+  if (closed.acyclic) {
+    closed.constraint_violation = find_constraint_violation(h, closed.order, constraint);
+    closed.legality_violation = find_legality_violation(h, closed.order);
+  }
+  return closed;
+}
+
 FastCheckResult fast_check(const History& h, const util::BitRelation& base,
                            Constraint constraint) {
-  FastCheckResult result;
-  const util::BitRelation closed = base.transitive_closure();
+  return fast_check_closed(h, close_and_scan(h, base, constraint));
+}
 
-  if (!closed.closed_is_irreflexive()) {
+FastCheckResult fast_check_closed(const History& h, const ClosedOrder& scanned) {
+  FastCheckResult result;
+  if (!scanned.acyclic) {
     result.detail = "base order is cyclic";
     return result;
   }
-
-  if (const auto violation = find_constraint_violation(h, closed, constraint)) {
-    result.detail = violation->to_string();
+  if (scanned.constraint_violation.has_value()) {
+    result.detail = scanned.constraint_violation->to_string();
     return result;
   }
   result.constraint_holds = true;
 
-  if (const auto violation = find_legality_violation(h, closed)) {
-    result.detail = violation->to_string();
+  if (scanned.legality_violation.has_value()) {
+    result.detail = scanned.legality_violation->to_string();
     return result;  // Lemma 6: not legal => not admissible
   }
   result.legal = true;
+  const util::BitRelation& closed = scanned.order;
 
   // Lemmas 3/4: for a legal history under OO/WW the extended relation is
   // an irreflexive partial order; Lemma 5: any linear extension is a

@@ -14,7 +14,9 @@
 // Cost per check: one closure of the base order (see util/relation.hpp),
 // the WW/OO/WO constraint scan (word tests for WW), the legality scan (one
 // AND of writer, row and column words per external read), ~rw (one such
-// AND per read) and one linearization.
+// AND per read) and one linearization. The closure and the two scans are
+// a ClosedOrder of their own, so a caller whose P5.x audit closes the same
+// relation (Lemmas 8 and 9 are these two scans) pays for them once.
 #pragma once
 
 #include <optional>
@@ -23,10 +25,27 @@
 
 #include "core/constraints.hpp"
 #include "core/history.hpp"
+#include "core/legality.hpp"
 #include "core/relations.hpp"
 #include "util/relation.hpp"
 
 namespace mocc::core {
+
+/// One transitively closed order and the two scans Theorem 7 decides on:
+/// the first pair `constraint` requires ordered that the order leaves
+/// unordered, and the first legality violation (D4.6). Neither scan runs
+/// on a cyclic closure.
+struct ClosedOrder {
+  util::BitRelation order;
+  bool acyclic = false;
+  Constraint constraint = Constraint::kWW;
+  std::optional<ConstraintViolation> constraint_violation;
+  std::optional<LegalityViolation> legality_violation;
+};
+
+/// Closes `base` once and runs both scans on the closure.
+ClosedOrder close_and_scan(const History& h, const util::BitRelation& base,
+                           Constraint constraint);
 
 struct FastCheckResult {
   /// Whether the claimed constraint actually holds for the history; if it
@@ -44,6 +63,10 @@ struct FastCheckResult {
 /// `base`, valid for histories satisfying `constraint` (kOO or kWW).
 FastCheckResult fast_check(const History& h, const util::BitRelation& base,
                            Constraint constraint);
+
+/// fast_check on a base order already closed and scanned by
+/// close_and_scan.
+FastCheckResult fast_check_closed(const History& h, const ClosedOrder& closed);
 
 /// Convenience: base order for the given consistency condition augmented
 /// with an explicit synchronization order `sync` (e.g. the atomic

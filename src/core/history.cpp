@@ -33,11 +33,6 @@ MOpId History::add(MOperation mop) {
   return id;
 }
 
-const MOperation& History::mop(MOpId id) const {
-  MOCC_ASSERT(id < mops_.size());
-  return mops_[id];
-}
-
 const std::vector<MOpId>& History::process_ops(ProcessId process) const {
   MOCC_ASSERT(process < num_processes_);
   return by_process_[process];
@@ -65,36 +60,36 @@ bool History::well_formed(std::string* why) const {
 }
 
 bool History::value_coherent(std::string* why, Value initial_value) const {
-  const auto complain = [why](std::string message) {
-    if (why != nullptr) *why = std::move(message);
-    return false;
-  };
   for (MOpId id = 0; id < mops_.size(); ++id) {
     for (const Operation& read : mops_[id].external_reads()) {
-      std::ostringstream out;
-      out << "m" << id << " reads x" << read.object << " = " << read.value
-          << " from ";
+      // The message is built only for the failing read: a coherent
+      // history allocates nothing here.
+      const auto complain = [&](const auto&... tail) {
+        if (why != nullptr) {
+          std::ostringstream out;
+          out << "m" << id << " reads x" << read.object << " = " << read.value
+              << " from ";
+          (out << ... << tail);
+          *why = out.str();
+        }
+        return false;
+      };
       if (read.reads_from == kInitialMOp) {
         if (read.value != initial_value) {
-          out << "the initial write, whose value is " << initial_value;
-          return complain(out.str());
+          return complain("the initial write, whose value is ", initial_value);
         }
         continue;
       }
       if (read.reads_from >= mops_.size()) {
-        out << "m" << read.reads_from << ", which does not exist";
-        return complain(out.str());
+        return complain("m", read.reads_from, ", which does not exist");
       }
       const MOperation& writer = mops_[read.reads_from];
       if (!writer.writes(read.object)) {
-        out << "m" << read.reads_from << ", which never writes x"
-            << read.object;
-        return complain(out.str());
+        return complain("m", read.reads_from, ", which never writes x", read.object);
       }
-      if (writer.final_write_value(read.object) != read.value) {
-        out << "m" << read.reads_from << ", whose final write stores "
-            << writer.final_write_value(read.object);
-        return complain(out.str());
+      const Value stored = writer.final_write_value(read.object);
+      if (stored != read.value) {
+        return complain("m", read.reads_from, ", whose final write stores ", stored);
       }
     }
   }

@@ -15,6 +15,7 @@
 
 #include "core/moperation.hpp"
 #include "core/types.hpp"
+#include "util/assert.hpp"
 
 namespace mocc::core {
 
@@ -25,12 +26,18 @@ class History {
   /// Appends an m-operation; returns its id. Operations' reads_from
   /// fields must reference already-added m-operations or kInitialMOp.
   MOpId add(MOperation mop);
+  /// Reserves room for `mops` m-operations (a builder that knows the
+  /// final size adds them without regrowing).
+  void reserve(std::size_t mops) { mops_.reserve(mops); }
 
   std::size_t size() const { return mops_.size(); }
   std::size_t num_processes() const { return num_processes_; }
   std::size_t num_objects() const { return num_objects_; }
 
-  const MOperation& mop(MOpId id) const;
+  const MOperation& mop(MOpId id) const {
+    MOCC_ASSERT(id < mops_.size());
+    return mops_[id];
+  }
   const std::vector<MOperation>& mops() const { return mops_; }
 
   /// Ids of the m-operations issued by `process`, in program order

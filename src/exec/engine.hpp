@@ -26,10 +26,10 @@
 // thread-local log: (worker, invoke/response logical-clock stamps,
 // operations with reads-from tids, commit tid). After the run the logs
 // merge deterministically by (epoch, tid) — epoch = tid >> kEpochShift,
-// the global counter advances it every 2^kEpochShift draws — and feed
-// the protocols::ExecutionRecorder, so the committed history is checked
-// by the SAME Theorem-7 fast check, P5.x audit, and value-coherence
-// residue check as the simulated protocols (verify.hpp).
+// the global counter advances it every 2^kEpochShift draws — and replay
+// into core::History windows, so the committed history is checked by
+// the SAME Theorem-7 fast check, P5.x audit, and value-coherence residue
+// check as the simulated protocols (verify.hpp).
 //
 // The invoke/response stamps come from a second global counter (the
 // logical clock), drawn before the first read and after the last

@@ -8,7 +8,7 @@
 #include "core/constraints.hpp"
 #include "core/fast_check.hpp"
 #include "core/history.hpp"
-#include "protocols/recorder.hpp"
+#include "core/relations.hpp"
 #include "util/assert.hpp"
 #include "util/timestamp.hpp"
 
@@ -66,6 +66,21 @@ class TidIndex {
   std::vector<Entry> entries_;
 };
 
+/// ~P ⊆ ~t: every process's next m-operation is invoked strictly after
+/// its previous one responds. Then ~P ∪ ~rf ∪ ~t ∪ ~ww, the Theorem-7 base
+/// of m-linearizability, is the audit's ~rf ∪ ~t ∪ ~ww as a relation.
+bool process_order_within_real_time(const core::History& h) {
+  for (core::ProcessId p = 0; p < h.num_processes(); ++p) {
+    const std::vector<core::MOpId>& sequence = h.process_ops(p);
+    for (std::size_t i = 1; i < sequence.size(); ++i) {
+      if (!(h.mop(sequence[i - 1]).response() < h.mop(sequence[i]).invoke())) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 VerifyReport verify_execution(const ExecResult& result,
@@ -100,28 +115,44 @@ VerifyReport verify_execution(const ExecResult& result,
              std::to_string(mop.tid);
     };
 
-    // One extra process for the per-window snapshot writer.
-    protocols::ExecutionRecorder recorder(workers + 1, objects);
+    // The window's history (one extra process for the snapshot writer)
+    // and its Figure-6 trace: ts(α) and the update classification per
+    // m-operation, and ~ww as the chain of updates in commit-tid order.
+    const std::size_t size = end - begin + (begin > 0 ? 1 : 0);
+    core::History h(workers + 1, objects);
+    h.reserve(size);
+    core::ProtocolTrace trace;
+    if (options.run_audit) {
+      trace.timestamps.reserve(size);
+      trace.is_update.reserve(size);
+    }
+    std::vector<core::MOpId> ww_chain;
+    ww_chain.reserve(size);
+    const auto add = [&](core::MOperation mop, bool is_update) {
+      const core::MOpId id = h.add(std::move(mop));
+      if (options.run_audit) {
+        trace.timestamps.push_back(util::VersionVector::from_entries(state.write_count));
+        trace.is_update.push_back(is_update);
+      }
+      if (is_update) ww_chain.push_back(id);
+      return id;
+    };
+
     index.clear();
     core::MOpId snapshot_id = core::kInitialMOp;
     if (begin > 0) {
-      snapshot_id = recorder.begin(workers, "snapshot", 0);
       std::vector<core::Operation> snapshot_ops;
       snapshot_ops.reserve(objects);
       for (std::size_t x = 0; x < objects; ++x) {
         snapshot_ops.push_back(core::Operation::write(
             static_cast<core::ObjectId>(x), state.last_value[x]));
       }
-      recorder.complete(snapshot_id, std::move(snapshot_ops), 1,
-                        util::VersionVector::from_entries(state.write_count),
-                        /*ww_seq=*/0);
+      snapshot_id = add(core::MOperation(workers, std::move(snapshot_ops), 0, 1, "snapshot"),
+                        /*is_update=*/true);
     }
 
     for (std::size_t i = begin; i < end; ++i) {
       const CommittedMop& mop = *merged[i];
-      // +2 clears the snapshot's stamps (0, 1); the engine's logical
-      // clock preserves relative order, which is all real time needs.
-      const core::MOpId id = recorder.begin(mop.worker, "", mop.invoke + 2);
       std::vector<core::Operation> ops;
       ops.reserve(mop.ops.size());
       for (const LoggedOp& op : mop.ops) {
@@ -176,14 +207,14 @@ VerifyReport verify_execution(const ExecResult& result,
         }
         state.last_value[op.object] = op.value;  // last write in PO wins
       }
-      recorder.complete(
-          id, std::move(ops), mop.response + 2,
-          util::VersionVector::from_entries(state.write_count),
-          mop.is_update ? std::optional<std::uint64_t>(mop.tid) : std::nullopt);
+      // +2 clears the snapshot's stamps (0, 1); the engine's logical
+      // clock preserves relative order, which is all real time needs.
+      const core::MOpId id = add(core::MOperation(mop.worker, std::move(ops),
+                                                  mop.invoke + 2, mop.response + 2),
+                                 mop.is_update);
       if (mop.is_update) index.add(mop.tid, id);
     }
 
-    const core::History h = recorder.build_history();
     std::string why;
     if (!h.well_formed(&why)) {
       report.fail("window " + std::to_string(window_number) +
@@ -194,16 +225,29 @@ VerifyReport verify_execution(const ExecResult& result,
       report.fail("window " + std::to_string(window_number) +
                   ": not value-coherent: " + why);
     }
-    const core::FastCheckResult fast = core::fast_check_condition(
-        h, core::Condition::kMLinearizability, recorder.build_ww_order(),
-        core::Constraint::kWW);
+    // ~>H− = ~rf ∪ ~t ∪ ~ww, closed once and scanned once for both the
+    // fast check and the audit (their Lemma 8 / 9 lines). The fast
+    // check's m-linearizability base adds ~P, which the engine's stamps
+    // keep inside ~t; a log where they do not gets its own closure.
+    trace.sync_order = core::reads_from_order(h);
+    trace.sync_order.merge(core::real_time_order(h));
+    core::add_chain(trace.sync_order, ww_chain);
+    const core::ClosedOrder closed =
+        core::close_and_scan(h, trace.sync_order, core::Constraint::kWW);
+    core::FastCheckResult fast;
+    if (process_order_within_real_time(h)) {
+      fast = core::fast_check_closed(h, closed);
+    } else {
+      util::BitRelation base = trace.sync_order;
+      base.merge(core::process_order(h));
+      fast = core::fast_check(h, base, core::Constraint::kWW);
+    }
     if (!fast.constraint_holds || !fast.admissible) {
       report.fail("window " + std::to_string(window_number) +
                   ": fast check failed: " + fast.detail);
     }
     if (options.run_audit) {
-      const core::AuditReport audit = core::audit_protocol_execution(
-          h, recorder.build_trace(h, /*include_process_order=*/false));
+      const core::AuditReport audit = core::audit_closed(h, trace, closed);
       for (const std::string& v : audit.violations) {
         report.fail("window " + std::to_string(window_number) + ": " + v);
       }

@@ -1,12 +1,26 @@
 // Post-run verification of the multicore engine by the paper's checkers.
 //
-// The committed logs merge deterministically by (epoch, tid) and replay
-// into protocols::ExecutionRecorder histories, so the SAME machinery
-// that audits the simulated protocols judges the real-thread engine:
+// The committed logs merge deterministically by (epoch, tid) and are
+// replayed into core::History windows, so the SAME checkers that audit
+// the simulated protocols judge the real-thread engine:
 // History::well_formed, the value-coherence residue check, the Theorem-7
 // fast check (m-linearizability base order + the commit-tid order as the
 // explicit ~ww synchronization, WW constraint), and the P5.x audit over
 // the Figure-6 trace (~rf ∪ ~t ∪ ~ww).
+//
+// What a window builds, straight from the merged log: its History (each
+// m-operation's ops converted once, reads resolved to window-local ids),
+// the trace's ts(α) per m-operation (the replayed per-object write
+// counts, moved into the trace) and update classification, and ~ww as
+// one chain of the updates in tid order. Then the window's sync order
+// ~rf ∪ ~t ∪ ~ww is closed ONCE, and the WW-constraint and legality
+// scans run once on the closure (core::ClosedOrder). Both checks read
+// that one result: the fast check decides on it, and the audit reports
+// it as its Lemma 8 / Lemma 9 consequences. One closure serves both
+// because the fast check's base adds only ~P, and on engine logs
+// ~P ⊆ ~t — a worker draws its next invoke stamp after its previous
+// response stamp. A window where that fails (only a hand-built log can
+// have it) gives the fast check its own closure of the base with ~P.
 //
 // Scaling: the checkers work on dense n x n bit relations, so memory and
 // the word scans grow with the square of the history size (the closures

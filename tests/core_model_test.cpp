@@ -1,5 +1,7 @@
 // Unit tests for the history model: m-operations, histories, and the
 // order-relation builders (§2).
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/history.hpp"
@@ -94,6 +96,42 @@ TEST(History, WellFormedAfterConstruction) {
   h.add(mop(0, {Operation::write(0, 2)}, 3, 4));
   h.add(mop(1, {Operation::read(0, 1, 0)}, 2, 3));
   EXPECT_TRUE(h.well_formed());
+}
+
+// value_coherent's four complaints, byte for byte (the message is built
+// only on the failing read, so this pins its wording).
+TEST(History, ValueCoherenceComplaintsAreExact) {
+  std::string why;
+  {
+    History h(1, 1);
+    h.add(MOperation(0, {Operation::read(0, -2, kInitialMOp)}, 0, 1));
+    EXPECT_FALSE(h.value_coherent(&why, /*initial_value=*/7));
+    EXPECT_EQ(why, "m0 reads x0 = -2 from the initial write, whose value is 7");
+    EXPECT_TRUE(h.value_coherent(nullptr, -2));
+  }
+  {
+    History h(1, 2);
+    h.add(MOperation(0, {Operation::read(1, 3, /*reads_from=*/7)}, 0, 1));
+    EXPECT_FALSE(h.value_coherent(&why));
+    EXPECT_EQ(why, "m0 reads x1 = 3 from m7, which does not exist");
+  }
+  {
+    History h(2, 2);
+    h.add(MOperation(0, {Operation::write(0, 1)}, 0, 1));
+    h.add(MOperation(1, {Operation::read(1, 1, /*reads_from=*/0)}, 2, 3));
+    EXPECT_FALSE(h.value_coherent(&why));
+    EXPECT_EQ(why, "m1 reads x1 = 1 from m0, which never writes x1");
+  }
+  {
+    History h(2, 1);
+    h.add(MOperation(0, {Operation::write(0, 1), Operation::write(0, 2)}, 0, 1));
+    h.add(MOperation(1, {Operation::read(0, 1, /*reads_from=*/0)}, 2, 3));
+    EXPECT_FALSE(h.value_coherent(&why));
+    EXPECT_EQ(why, "m1 reads x0 = 1 from m0, whose final write stores 2");
+    why = "untouched";
+    EXPECT_FALSE(h.value_coherent(nullptr));
+    EXPECT_EQ(why, "untouched");
+  }
 }
 
 TEST(History, RfObjects) {
